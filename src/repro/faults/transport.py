@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from repro.machine.message import Message
+from repro.machine.message import HEADER_BYTES, Message
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.machine.machine import Machine
@@ -154,8 +154,6 @@ class ReliableTransport:
     def _ack(self, receiver: int, src: int, mid: int) -> None:
         """Emit an ack directly onto the wire (no CPU charge; it still
         crosses the faulty network, so lossy plans can drop it)."""
-        from repro.machine.message import HEADER_BYTES
-
         self.machine.network.transmit(
             Message(receiver, src, ACK_KIND, mid, HEADER_BYTES))
 

@@ -11,15 +11,18 @@ Design notes
 ------------
 * Events are ordered by ``(time, priority, seq)``.  ``seq`` is a global
   monotone counter so that events scheduled earlier at the same timestamp
-  fire first; this gives a total, platform-independent order.  The key
-  tuple is built once at schedule time; ``heapq`` sift comparisons reduce
-  to a single tuple comparison instead of the attribute-by-attribute
-  dance a ``dataclass(order=True)`` generates.
-* The heap entry *is* the handle: one ``__slots__`` object per scheduled
-  action, allocated without a Python-level ``__init__`` frame.  The event
-  loop is the hottest code in the repository — a full Table-I grid is
-  hundreds of millions of events — so per-event allocations are kept to
-  the handle itself plus its key tuple.
+  fire first; this gives a total, platform-independent order.
+* A heap entry is the plain tuple ``(time, priority, seq, handle)``.
+  ``seq`` is unique, so ``heapq`` sift comparisons are C tuple
+  comparisons that are always decided before reaching the handle — no
+  Python-level ``__lt__`` frame per comparison.  The event loop is the
+  hottest code in the repository — a full Table-I grid is hundreds of
+  millions of events — so per-event allocations are kept to the entry
+  tuple plus the handle.
+* The handle (:class:`EventHandle`) is one ``__slots__`` object per
+  scheduled action, allocated without a Python-level ``__init__`` frame.
+  It carries the callback, its arguments, the due ``time`` and the
+  cancellation flag; it is what :meth:`Simulator.schedule` returns.
 * Cancellation is lazy: :meth:`EventHandle.cancel` marks the event dead
   and the main loop skips it.  This is O(1) and avoids heap surgery.
   Dead events are *compacted* away once they dominate the queue, so
@@ -50,7 +53,7 @@ _heappop = heapq.heappop
 _COMPACT_MIN_DEAD = 64
 
 #: Below this many due events, a windowed drain takes plain heap pops;
-#: array extraction + lexsort only pays for itself on wide frontiers.
+#: batch extraction + sort only pays for itself on wide frontiers.
 _BATCH_MIN = 192
 
 
@@ -61,16 +64,14 @@ class SimulationError(RuntimeError):
 class EventHandle:
     """A scheduled event; also the handle :meth:`Simulator.schedule` returns.
 
-    ``key`` is the prebuilt ``(time, priority, seq)`` ordering tuple.
-    ``fn`` is cleared once the event has fired or been cancelled, freeing
-    the callback closure and payload immediately.  Public surface:
-    :meth:`cancel`, :attr:`cancelled`, :attr:`time`.
+    The heap holds it as the last field of a ``(time, priority, seq,
+    handle)`` entry.  ``time`` is the virtual time at which the event is
+    (was) due.  ``fn`` is cleared once the event has fired or been
+    cancelled, freeing the callback closure and payload immediately.
+    Public surface: :meth:`cancel`, :attr:`cancelled`, :attr:`time`.
     """
 
-    __slots__ = ("key", "fn", "args", "cancelled", "_sim")
-
-    def __lt__(self, other: "EventHandle") -> bool:
-        return self.key < other.key
+    __slots__ = ("time", "fn", "args", "cancelled", "_sim")
 
     def cancel(self) -> None:
         """Prevent the event from firing.  Idempotent."""
@@ -92,15 +93,6 @@ class EventHandle:
         if sim._dead >= _COMPACT_MIN_DEAD and sim._dead * 2 >= len(sim._queue):
             sim._compact()
 
-    @property
-    def time(self) -> float:
-        """Virtual time at which the event is (was) due."""
-        return self.key[0]
-
-
-#: Backwards-compatible alias: the heap entry used to be a separate class.
-_Event = EventHandle
-
 
 class Simulator:
     """A minimal but fully deterministic discrete-event simulator.
@@ -117,7 +109,8 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._queue: list[EventHandle] = []
+        #: heap of ``(time, priority, seq, handle)`` entries
+        self._queue: list[tuple[float, int, int, EventHandle]] = []
         self._seq = itertools.count()
         self._now = 0.0
         self._events_processed = 0
@@ -180,13 +173,14 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
         # Allocation-lean construction: skip the __init__ frame entirely.
+        t = self._now + delay
         ev = EventHandle.__new__(EventHandle)
-        ev.key = (self._now + delay, priority, next(self._seq))
+        ev.time = t
         ev.fn = fn
         ev.args = args
         ev.cancelled = False
         ev._sim = self
-        _heappush(self._queue, ev)
+        _heappush(self._queue, (t, priority, next(self._seq), ev))
         return ev
 
     def schedule_at(
@@ -209,7 +203,7 @@ class Simulator:
     def _compact(self) -> None:
         """Drop cancelled events and re-heapify.  Mutates the queue in
         place (``run`` holds a local alias to it)."""
-        self._queue[:] = [ev for ev in self._queue if not ev.cancelled]
+        self._queue[:] = [e for e in self._queue if not e[3].cancelled]
         heapq.heapify(self._queue)
         self._dead = 0
 
@@ -217,7 +211,7 @@ class Simulator:
         """Next runnable event, popping any dead ones off the top."""
         q = self._queue
         while q:
-            ev = q[0]
+            ev = q[0][3]
             if not ev.cancelled:
                 return ev
             _heappop(q)
@@ -230,7 +224,7 @@ class Simulator:
         if ev is None:
             return False
         _heappop(self._queue)
-        t = ev.key[0]
+        t = ev.time
         if t < self._now:  # pragma: no cover - defensive
             raise SimulationError("event queue time went backwards")
         self._now = t
@@ -265,11 +259,11 @@ class Simulator:
             if until is None and max_events is None:
                 # Hot path: drain the queue with no per-event bound checks.
                 while q:
-                    ev = _heappop(q)
+                    t, _p, _s, ev = _heappop(q)
                     if ev.cancelled:
                         self._dead -= 1
                         continue
-                    self._now = ev.key[0]
+                    self._now = t
                     fn, args = ev.fn, ev.args
                     ev.fn = None
                     ev.args = ()
@@ -277,12 +271,11 @@ class Simulator:
                     executed += 1
                 return
             while q:
-                ev = q[0]
+                t, _p, _s, ev = q[0]
                 if ev.cancelled:
                     _heappop(q)
                     self._dead -= 1
                     continue
-                t = ev.key[0]
                 if until is not None and t > until:
                     break
                 if max_events is not None and executed >= max_events:
@@ -296,7 +289,7 @@ class Simulator:
                 executed += 1
             if until is not None and self._now < until:
                 nxt = self._peek_live()
-                if nxt is None or nxt.key[0] > until:
+                if nxt is None or nxt.time > until:
                     self._now = until
         finally:
             self._events_processed += executed
@@ -315,12 +308,11 @@ class Simulator:
         stride = self._trace_stride
         executed = 0
         while q:
-            ev = q[0]
+            t, _p, _s, ev = q[0]
             if ev.cancelled:
                 _heappop(q)
                 self._dead -= 1
                 continue
-            t = ev.key[0]
             if until is not None and t > until:
                 break
             if max_events is not None and executed >= max_events:
@@ -342,7 +334,7 @@ class Simulator:
                 tr.counter(0, "sim", "pending_events", self._now, self.pending())
         if until is not None and self._now < until:
             nxt = self._peek_live()
-            if nxt is None or nxt.key[0] > until:
+            if nxt is None or nxt.time > until:
                 self._now = until
         if self._peek_live() is None:
             tr.counter(0, "sim", "events_processed", self._now,
@@ -366,12 +358,12 @@ class Simulator:
           hence every trace timestamp and metric) exactly where an
           uninterrupted ``run()`` would have left it;
         * the untraced path drains wide frontiers as *batches*: all due
-          events are pulled out of the heap into numpy arrays in one
-          sweep, lexsorted by key, and executed without per-event heap
-          sifts.  Events scheduled by handlers mid-batch are merged back
-          in key order, so the execution sequence is identical to the
-          per-event loop (the traced twin, and the property tests in
-          ``tests/shard``, pin this down).
+          entries are pulled out of the heap in one sweep, sorted, and
+          executed without per-event heap sifts.  Events scheduled by
+          handlers mid-batch are merged back in entry order, so the
+          execution sequence is identical to the per-event loop (the
+          traced twin, and the property tests in ``tests/shard``, pin
+          this down).
 
         A sequence of ``drain_window`` calls with increasing ``end``
         therefore executes the byte-identical event sequence of a single
@@ -396,12 +388,11 @@ class Simulator:
         q = self._queue
         executed = 0
         while q:
-            ev = q[0]
+            t, _p, _s, ev = q[0]
             if ev.cancelled:
                 _heappop(q)
                 self._dead -= 1
                 continue
-            t = ev.key[0]
             if t > end:
                 break
             _heappop(q)
@@ -414,72 +405,67 @@ class Simulator:
         return executed
 
     def _drain_window_batched(self, end: float) -> int:
-        """Vectorized windowed drain.
+        """Batched windowed drain.
 
         Wide frontiers (>= ``_BATCH_MIN`` due events) are extracted from
-        the heap in one numpy sweep and ordered with a single lexsort;
-        the residual heap then only ever holds beyond-window events plus
-        whatever handlers schedule mid-batch, and those are merged back
-        in by key comparison before each batch entry.  Narrow frontiers
-        fall through to plain heap pops, where the extraction overhead
-        would dominate.
+        the heap in one sweep and ordered with a single sort (entries
+        compare in C, exactly as the heap orders them); the residual heap
+        then only ever holds beyond-window events plus whatever handlers
+        schedule mid-batch, and those are merged back in by entry
+        comparison before each batch entry.  Narrow frontiers fall
+        through to plain heap pops, where the extraction overhead would
+        dominate.
         """
         q = self._queue
         executed = 0
         while True:
             nxt = self._peek_live()
-            if nxt is None or nxt.key[0] > end:
+            if nxt is None or nxt.time > end:
                 return executed
             if len(q) < _BATCH_MIN:
                 executed += self._drain_plain(end)
                 continue
-            times = np.fromiter((ev.key[0] for ev in q), np.float64, count=len(q))
-            due = times <= end
-            idx = np.nonzero(due)[0]
-            if idx.size < _BATCH_MIN:
+            batch = [e for e in q if e[0] <= end]
+            if len(batch) < _BATCH_MIN:
                 executed += self._drain_plain(end)
                 continue
-            batch = [q[i] for i in idx]
-            q[:] = [q[i] for i in np.nonzero(~due)[0]]
+            q[:] = [e for e in q if e[0] > end]
             heapq.heapify(q)
+            batch.sort()
             # Extracted handles leave the queue here: detach them from the
             # simulator so a cancel() between extraction and dispatch does
             # not bump _dead for an event no longer in the queue (the
             # dispatch loop below skips cancelled entries by flag).
-            for ev in batch:
+            dead = 0
+            for e in batch:
+                ev = e[3]
                 ev._sim = None
+                dead += ev.cancelled
             # Events already dead at extraction leave _dead with them.
-            dead = sum(1 for ev in batch if ev.cancelled)
             if dead:
                 self._dead = max(0, self._dead - dead)
-            n = len(batch)
-            order = np.lexsort((
-                np.fromiter((ev.key[2] for ev in batch), np.int64, count=n),
-                np.fromiter((ev.key[1] for ev in batch), np.int64, count=n),
-                times[idx],
-            ))
-            batch = [batch[j] for j in order]
-            for ev in batch:
-                key = ev.key
+            for entry in batch:
                 # merge-in: anything scheduled mid-batch (or left in the
                 # residual heap) that orders before this entry runs first
                 while q:
                     head = q[0]
-                    if not head.cancelled and head.key > key:
+                    if not head[3].cancelled and head > entry:
                         break
                     _heappop(q)
-                    if head.cancelled:
+                    ev = head[3]
+                    if ev.cancelled:
                         self._dead -= 1
                         continue
-                    self._now = head.key[0]
-                    fn, args = head.fn, head.args
-                    head.fn = None
-                    head.args = ()
+                    self._now = head[0]
+                    fn, args = ev.fn, ev.args
+                    ev.fn = None
+                    ev.args = ()
                     fn(*args)
                     executed += 1
+                ev = entry[3]
                 if ev.cancelled:
                     continue
-                self._now = key[0]
+                self._now = entry[0]
                 fn, args = ev.fn, ev.args
                 ev.fn = None
                 ev.args = ()
@@ -500,12 +486,11 @@ class Simulator:
         stride = self._trace_stride
         executed = 0
         while q:
-            ev = q[0]
+            t, _p, _s, ev = q[0]
             if ev.cancelled:
                 _heappop(q)
                 self._dead -= 1
                 continue
-            t = ev.key[0]
             if t > end:
                 break
             _heappop(q)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from .message import Message
+from .message import HEADER_BYTES, Message
 
 if TYPE_CHECKING:  # pragma: no cover
     from .event import EventHandle
@@ -144,8 +144,6 @@ class Node:
         it is exactly a plain send, so protocols can request reliability
         unconditionally.
         """
-        from .message import HEADER_BYTES
-
         if reliable and self.faults is not None:
             self.faults.transport.send(
                 self, dest, kind, payload,

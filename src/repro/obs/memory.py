@@ -1,7 +1,8 @@
 """Memory-footprint audit for giant meshes: where do the bytes live?
 
 A 1024×1024-mesh run holds a million :class:`Node` objects, a heap of
-pending :class:`EventHandle`\\ s, per-node CPU queues and protocol state,
+pending event entries (each an entry tuple plus its
+:class:`EventHandle`), per-node CPU queues and protocol state,
 and (sharded) numpy event lanes.  Before budgeting such a run, one needs
 to know the per-subsystem footprint — which structure grows with nodes,
 which with pending events, which with in-flight messages.
@@ -55,13 +56,13 @@ def memory_audit(machine, lanes=None) -> dict:
     sim = machine.sim
     nodes = machine.nodes
 
-    # --- event heap: handles + their key tuples --------------------------
+    # --- event heap: (time, priority, seq, handle) entries + handles -----
     queue = sim._queue
     n_events = len(queue)
     ev_bytes = 0
     if n_events:
         sample = queue[0]
-        per_event = _sizeof(sample) + _sizeof(sample.key)
+        per_event = _sizeof(sample) + _sizeof(sample[3])
         ev_bytes = n_events * per_event + _sizeof(queue)
     events = {
         "count": n_events,

@@ -95,9 +95,9 @@ def drive_sharded(machine: "Machine", shards: int, strict: bool = True) -> dict:
                 break
             # jump straight to the window containing the next event —
             # empty windows carry no traffic and need no barrier
-            k = window_index(ev.key[0], delta)
+            k = window_index(ev.time, delta)
             end = window_end(k, delta)
-            if end < ev.key[0]:
+            if end < ev.time:
                 # the head sits an ulp past the boundary and the index's
                 # rounding grace pulled it into window k; drain the next
                 # window instead so every iteration makes progress

@@ -77,8 +77,8 @@ class ShardWorker:
         """Earliest locally pending due time (``inf`` when idle)."""
         t = self.lanes.next_time()
         ev = self.sim._peek_live()
-        if ev is not None and ev.key[0] < t:
-            t = ev.key[0]
+        if ev is not None and ev.time < t:
+            t = ev.time
         return t
 
 

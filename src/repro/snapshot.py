@@ -73,7 +73,10 @@ __all__ = [
 #: ``MembershipManager`` (epoch log, handshake/election timers) in the
 #: FaultInjector graph, and the driver's ``repinned``/``joined_nodes``/
 #: ``departed_nodes`` state.
-SNAPSHOT_VERSION = 4
+#: v5: event-heap entries are ``(time, priority, seq, handle)`` tuples,
+#: and :class:`~repro.machine.event.EventHandle` carries a ``time`` slot
+#: instead of the ``key`` ordering tuple.
+SNAPSHOT_VERSION = 5
 
 _MAGIC = b"repro-snapshot\n"
 

@@ -10,6 +10,7 @@ from repro.machine.topology import (
     MeshTopology,
     TorusTopology,
     TreeTopology,
+    hop_table,
     make_topology,
     mesh_shape_for,
 )
@@ -55,8 +56,9 @@ def test_routing_reaches_destination_via_edges(topo):
 
 @pytest.mark.parametrize("topo", ALL_TOPOLOGIES, ids=repr)
 def test_distance_is_shortest_path(topo):
-    # BFS shortest-path oracle
+    # BFS shortest-path oracle; the memoised hop table must agree too
     n = topo.num_nodes
+    hops = hop_table(topo)
     for src in range(n):
         dist = {src: 0}
         frontier = [src]
@@ -70,6 +72,7 @@ def test_distance_is_shortest_path(topo):
             frontier = nxt
         for dest in range(n):
             assert topo.distance(src, dest) == dist[dest], (src, dest)
+            assert hops[src][dest] == dist[dest], (src, dest)
 
 
 @pytest.mark.parametrize("topo", ALL_TOPOLOGIES, ids=repr)

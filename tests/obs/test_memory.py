@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+
+from repro.machine import Machine, MeshTopology
 from repro.obs.memory import MEMAUDIT_SCHEMA, format_memory_audit, memory_audit
 from repro.session import Session
 
@@ -21,6 +24,22 @@ def test_memory_audit_of_prepared_machine():
     assert subs["nodes"]["count"] == 8
     # the parts sum to the whole
     assert audit["total_bytes"] == sum(s["bytes"] for s in subs.values())
+
+
+def test_memory_audit_sizes_entry_tuple_plus_handle():
+    """Each pending event costs its ``(time, priority, seq, handle)``
+    entry tuple plus the handle, on top of the heap list itself."""
+    machine = Machine(MeshTopology(2, 2), seed=1)
+    for rank in range(4):
+        machine.nodes[rank].send((rank + 1) % 4, "ping")
+    queue = machine.sim._queue
+    assert len(queue) == 4
+    entry = queue[0]
+    assert isinstance(entry, tuple) and len(entry) == 4
+    per_event = sys.getsizeof(entry) + sys.getsizeof(entry[3])
+    events = memory_audit(machine)["subsystems"]["events"]
+    assert events["count"] == 4
+    assert events["bytes"] == 4 * per_event + sys.getsizeof(queue)
 
 
 def test_memory_audit_formats_as_table():

@@ -66,7 +66,7 @@ def test_drain_window_tiny_windows_still_equal(seed):
     _random_workload(win_sim, seed, win_log, events=150)
     delta = 0.5e-6
     while (ev := win_sim._peek_live()) is not None:
-        k = max(0, int(ev.key[0] / delta))
+        k = max(0, int(ev.time / delta))
         win_sim.drain_window((k + 1) * delta)
     assert win_log == ref_log
 
@@ -88,8 +88,10 @@ def test_drain_window_batched_path_handles_cancellation():
                for i in range(1000)]
     for h in handles[::3]:
         h.cancel()
+    # stable sort by due time keeps scheduling (seq) order among ties
     expected = sorted(
-        (h.key, h.args[0]) for h in handles if not h.cancelled)
+        ((h.time, h.args[0]) for h in handles if not h.cancelled),
+        key=lambda pair: pair[0])
     sim.drain_window(1.0)
     assert log == [tag for _k, tag in expected]
     assert sim.pending() == 0
