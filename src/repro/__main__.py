@@ -35,7 +35,7 @@ Commands
     cold vs warm-started Table-I grid -> ``BENCH_warm_start.json``.
 ``loadtest``
     Closed-loop capacity harness: drive N concurrent sessions (workload
-    x strategy x shard mix, closed- or open-loop arrival, seeded)
+    x strategy mix, closed- or open-loop arrival, seeded)
     through the in-process runner and/or a live ``serve`` instance;
     report p50/p90/p99 cell latency, queue wait, 429/503 counts,
     result/snapshot cache hit rates, events/sec under contention, and
@@ -368,8 +368,7 @@ def _cmd_bench(args) -> int:
         return 0
     report = emit_bench(path=args.out,
                         events=args.events or 200_000,
-                        reps=args.reps or 5,
-                        shard_counts=tuple(args.shards or (1, 2, 4)))
+                        reps=args.reps or 5)
     if args.json:
         _print_report("bench", report)
         return 0
@@ -377,13 +376,6 @@ def _cmd_bench(args) -> int:
     speed = report["speedup_vs_seed"]
     print(f"chain : {rates['chain']:>9,} events/sec ({speed['chain']}x seed)")
     print(f"loaded: {rates['loaded']:>9,} events/sec ({speed['loaded']}x seed)")
-    sh = report["sharded"]
-    for n in sh["shard_counts"]:
-        ld = sh["events_per_sec"]["loaded"][str(n)]
-        ch = sh["events_per_sec"]["chain"][str(n)]
-        sp = sh["speedup_vs_serial_loaded"][str(n)]
-        print(f"sharded@{n}: loaded {ld:>10,} events/sec "
-              f"({sp}x serial loaded), chain {ch:,}")
     return 0
 
 
@@ -564,7 +556,7 @@ def _cmd_loadtest(args) -> int:
         # its original finished: result-cache hits are deterministic
         config = LoadtestConfig(
             sessions=6, concurrency=2, workloads=("queens-10",),
-            strategies=("RIPS", "RID"), shards=(0,), num_nodes=8,
+            strategies=("RIPS", "RID"), num_nodes=8,
             seed=args.seed, mem_audit=args.mem_audit, churn=args.churn)
         target = "both"
     else:
@@ -576,7 +568,6 @@ def _cmd_loadtest(args) -> int:
             workloads=tuple(_resolve_workload_key(w, args.scale)
                             for w in args.workloads),
             strategies=tuple(_resolve_strategy(s) for s in args.strategies),
-            shards=tuple(args.shards),
             num_nodes=args.nodes,
             scale=current_scale(args.scale),
             seed=args.seed,
@@ -704,8 +695,7 @@ def _cmd_run(args) -> int:
                              "don't also name a workload")
         from repro.snapshot import Snapshot
 
-        sess = Session.restore(Snapshot.load(args.resume),
-                               shards=args.shards or None)
+        sess = Session.restore(Snapshot.load(args.resume))
         ckpt_path = Path(args.checkpoint) if args.checkpoint else Path(args.resume)
     else:
         if args.workload is None:
@@ -714,8 +704,7 @@ def _cmd_run(args) -> int:
         key = _resolve_workload_key(args.workload, args.scale)
         sess = Session(key, strategy=_resolve_strategy(args.strategy),
                        num_nodes=args.nodes, seed=args.seed,
-                       scale=current_scale(args.scale),
-                       shards=args.shards)
+                       scale=current_scale(args.scale))
         ckpt_path = Path(args.checkpoint) if args.checkpoint \
             else Path(f"{key}.ckpt")
 
@@ -749,12 +738,6 @@ def _cmd_run(args) -> int:
         }
     ]
     print(format_table(rows))
-    shard = m.extra.get("shard")
-    if shard:
-        print(f"sharded: {shard['shards']} shards, {shard['windows']} "
-              f"windows of {shard['window_seconds'] * 1e6:.0f}us, "
-              f"{shard['cross_messages']} cross-shard messages "
-              f"({shard['intra_messages']} intra)", file=sys.stderr)
     return 0
 
 
@@ -772,23 +755,15 @@ def _cmd_trace(args) -> int:
         seed=args.seed,
         scale=current_scale(args.scale),
         trace=True,
-        shards=args.shards,
     )
     metrics = execute_request(req)
     tracer = Tracer.from_records(
         metrics.extra.pop("trace_records"),
         metrics.extra.pop("trace_dropped", 0),
     )
-    shard_of = None
-    shard_info = metrics.extra.get("shard")
-    if shard_info:
-        # partition entries are contiguous [lo, hi) block bounds
-        shard_of = {rank: s
-                    for s, (lo, hi) in enumerate(shard_info["partition"])
-                    for rank in range(lo, hi)}
     out = Path(args.out)
     if args.format == "chrome":
-        write_chrome_trace(tracer, out, label=req.label(), shard_of=shard_of)
+        write_chrome_trace(tracer, out, label=req.label())
         hint = "chrome; open in ui.perfetto.dev"
     else:
         write_jsonl_trace(tracer, out)
@@ -932,10 +907,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--warm-start", dest="warm_start", action="store_true",
                    help="instead: cold vs warm-started Table-I small grid "
                         "-> BENCH_warm_start.json (exit 1 if results differ)")
-    p.add_argument("--shards", type=int, nargs="+", default=None,
-                   metavar="N",
-                   help="shard counts for the sharded section "
-                        "(default 1 2 4)")
     p.add_argument("--json", action="store_true",
                    help="repro.report/1 envelope on stdout instead of the "
                         "human summary")
@@ -1034,9 +1005,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--strategies", nargs="+", default=["RIPS", "RID"],
                    metavar="S",
                    help="strategies in the mix (default RIPS RID)")
-    p.add_argument("--shards", type=int, nargs="+", default=[0], metavar="N",
-                   help="shard counts in the mix; 0 = serial engine "
-                        "(default 0)")
     p.add_argument("--nodes", type=int, default=16,
                    help="machine size per cell (default 16)")
     p.add_argument("--scale", choices=("small", "paper"), default=None,
@@ -1101,10 +1069,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--resume", default=None, metavar="FILE",
                    help="restore a checkpoint file and continue the run "
                         "(bit-identical to never having stopped)")
-    p.add_argument("--shards", type=int, default=0, metavar="N",
-                   help="run through the sharded window engine with N mesh "
-                        "partitions (bit-identical to serial; with --resume, "
-                        "must match the checkpoint's shard count)")
     p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser("trace",
@@ -1120,9 +1084,6 @@ def main(argv: list[str] | None = None) -> int:
                         "jsonl = one raw record per line, sim seconds")
     p.add_argument("--report", action="store_true",
                    help="also print the per-node phase-breakdown report")
-    p.add_argument("--shards", type=int, default=0, metavar="N",
-                   help="trace through the sharded window engine; the "
-                        "Chrome export groups node processes by shard")
     p.set_defaults(fn=_cmd_trace)
 
     p = sub.add_parser("workloads", help="list workload keys", parents=[scale])

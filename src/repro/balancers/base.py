@@ -20,8 +20,7 @@ subclasses override it, call ``super().attach(driver)`` first (which
 stores the driver and registers the shared ``task`` message handler), and
 then set up their own per-node state and protocol handlers.  The decision
 hooks share one signature vocabulary: ``node`` is a rank, ``task`` a task
-id.  The pre-observability ``bind()``/``setup()`` pair still works but is
-deprecated and warns.
+id.
 
 Metric definitions (matching Table I of the paper)
 ---------------------------------------------------
@@ -36,7 +35,6 @@ Metric definitions (matching Table I of the paper)
 
 from __future__ import annotations
 
-import warnings
 from abc import ABC
 from collections import deque
 from dataclasses import dataclass, field
@@ -194,38 +192,12 @@ class Strategy(ABC):
 
         Subclasses override this, call ``super().attach(driver)`` first,
         then build their per-node state and register protocol message
-        handlers.  The base implementation stores the driver, registers
-        the shared ``task`` migration handler on every node, and — for
-        backward compatibility — invokes a legacy ``setup()`` override
-        with a :class:`DeprecationWarning`.
+        handlers.  The base implementation stores the driver and
+        registers the shared ``task`` migration handler on every node.
         """
         self.driver = driver
         for node in driver.machine.nodes:
             node.on("task", self._on_task_message)
-        if type(self).setup is not Strategy.setup:
-            warnings.warn(
-                f"{type(self).__name__}.setup() is deprecated; override "
-                "attach(driver) and call super().attach(driver) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            self.setup()
-
-    def bind(self, driver: "Driver") -> None:
-        """Deprecated alias of :meth:`attach` (the pre-observability name)."""
-        warnings.warn(
-            "Strategy.bind(driver) is deprecated; use attach(driver)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.attach(driver)
-
-    def setup(self) -> None:
-        """Deprecated: override :meth:`attach` instead.
-
-        Kept so pre-existing subclasses that only know ``setup()`` keep
-        working (it is called from :meth:`attach`, with a warning).
-        """
 
     # ------------------------------------------------------------------
     # shared helpers

@@ -3,8 +3,8 @@
 ``BENCH_events_per_sec.json`` answers "how fast is one kernel"; this
 package answers the paper's actual headline question — throughput under
 load.  ``python -m repro loadtest`` drives N concurrent sessions
-(a configurable mix of workloads × strategies × shard counts, closed- or
-open-loop arrival, seeded) through either the in-process runner's
+(a configurable mix of workloads × strategies, closed- or open-loop
+arrival, seeded) through either the in-process runner's
 ProcessPool or a live ``repro serve`` instance, and reports:
 
 * p50/p90/p99 cell latency and queue wait (honestly split — see the

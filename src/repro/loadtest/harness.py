@@ -12,7 +12,7 @@ Two drivers share one schedule builder:
   ``Retry-After``, counting every rejection.
 
 The schedule is deterministic: cell *i* takes the ``i % len(mix)``-th
-entry of the workload × strategy × shards mix (round-robin, so repeats —
+entry of the workload × strategy mix (round-robin, so repeats —
 the result-cache exercise — never race their originals back-to-back),
 and open-loop arrival offsets come from ``random.Random(seed)``.  Same
 seed + config ⇒ identical request sequence, which
@@ -26,7 +26,7 @@ import random
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from repro.runner.spec import RunRequest
@@ -52,8 +52,6 @@ class LoadtestConfig:
     rate: float = 8.0
     workloads: tuple = ("queens-10",)
     strategies: tuple = ("RIPS", "RID")
-    #: shard counts in the mix (0 = plain serial kernel)
-    shards: tuple = (0,)
     num_nodes: int = 16
     scale: str = "small"
     #: workload seed each cell runs with (one value keeps the snapshot
@@ -67,7 +65,7 @@ class LoadtestConfig:
     timeout: float = 300.0
     #: run one traced sentinel cell for subsystem attribution
     attribution: bool = True
-    #: include the node/event/lane memory audit of a prepared machine
+    #: include the node/event memory audit of a prepared machine
     mem_audit: bool = False
     #: attach a seeded elastic-membership plan (standby ranks, runtime
     #: joins/leaves, elections, the odd crash) to every cell — the
@@ -84,7 +82,7 @@ class LoadtestConfig:
 
     def to_dict(self) -> dict:
         doc = asdict(self)
-        for key in ("workloads", "strategies", "shards"):
+        for key in ("workloads", "strategies"):
             doc[key] = list(doc[key])
         return doc
 
@@ -96,7 +94,7 @@ class LoadtestConfig:
             raise ValueError(
                 f"unknown loadtest config field(s): {', '.join(unknown)}")
         doc = dict(doc)
-        for key in ("workloads", "strategies", "shards"):
+        for key in ("workloads", "strategies"):
             if key in doc:
                 doc[key] = tuple(doc[key])
         return cls(**doc)
@@ -114,7 +112,7 @@ class ScheduledCell:
 def build_schedule(config: LoadtestConfig) -> list[ScheduledCell]:
     """The deterministic request sequence of a campaign.
 
-    Round-robin over the ``workloads × strategies × shards`` mix (outer
+    Round-robin over the ``workloads × strategies`` mix (outer
     to inner), so any ``sessions > len(mix)`` repeats earlier content
     hashes — those repeats are the result-cache/coalescing exercise.
     Open-loop offsets are cumulative ``Expovariate(rate)`` draws from
@@ -129,21 +127,16 @@ def build_schedule(config: LoadtestConfig) -> list[ScheduledCell]:
     defeats result-cache coalescing: the churn profile measures raw
     capacity with membership protocol traffic on every run.
     """
-    mix = [
-        (w, s, sh)
-        for w in config.workloads
-        for s in config.strategies
-        for sh in config.shards
-    ]
+    mix = [(w, s) for w in config.workloads for s in config.strategies]
     if not mix:
-        raise ValueError("empty workload/strategy/shards mix")
+        raise ValueError("empty workload/strategy mix")
     if config.churn:
         from repro.faults.chaos import random_churn_plan
     rng = random.Random(config.seed)
     schedule = []
     offset = 0.0
     for i in range(config.sessions):
-        workload, strategy, shards = mix[i % len(mix)]
+        workload, strategy = mix[i % len(mix)]
         if config.arrival == "open":
             offset += rng.expovariate(config.rate)
         faults = None
@@ -157,7 +150,6 @@ def build_schedule(config: LoadtestConfig) -> list[ScheduledCell]:
             num_nodes=config.num_nodes,
             seed=config.workload_seed,
             scale=config.scale,
-            shards=shards,
             faults=faults,
         )
         schedule.append(ScheduledCell(index=i, offset_s=offset, request=req))
@@ -407,7 +399,7 @@ def _attribution_extra(config: LoadtestConfig) -> dict:
     from repro.obs.attribution import reconcile, subsystem_attribution
     from repro.runner.spec import execute_request
 
-    req = replace(build_schedule(config)[0].request, trace=True, shards=0)
+    req = replace(build_schedule(config)[0].request, trace=True)
     metrics = execute_request(req)
     tracer = Tracer.from_records(metrics.extra.get("trace_records") or [])
     return {

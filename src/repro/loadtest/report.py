@@ -103,8 +103,7 @@ def _structural_failures(report: dict) -> list[str]:
         if not out.get("events_per_sec", 0) > 0:
             failures.append(f"{name}: events/sec under contention is zero")
         cfg = data.get("config") or {}
-        mix = (len(cfg.get("workloads", [])) * len(cfg.get("strategies", []))
-               * len(cfg.get("shards", [1])))
+        mix = len(cfg.get("workloads", [])) * len(cfg.get("strategies", []))
         # churn attaches a distinct fault plan per cell, so repeats never
         # share a content hash — zero result-cache hits is the expected
         # shape there, not a broken cache
@@ -219,8 +218,8 @@ def format_loadtest(report: dict) -> str:
     cfg = data["config"]
     title = (f"loadtest: {cfg['sessions']} sessions x "
              f"{cfg['concurrency']} {cfg['arrival']}-loop workers, "
-             f"mix {len(cfg['workloads'])}w x {len(cfg['strategies'])}s x "
-             f"{len(cfg['shards'])}sh, seed {cfg['seed']}")
+             f"mix {len(cfg['workloads'])}w x {len(cfg['strategies'])}s, "
+             f"seed {cfg['seed']}")
     lines = [format_table(rows, title=title)]
     attribution = data.get("attribution")
     if attribution:

@@ -10,7 +10,7 @@ Public surface:
 * collectives used by the schedulers.
 """
 
-from .event import EventHandle, EventLanes, SimulationError, Simulator
+from .event import EventHandle, SimulationError, Simulator
 from .machine import Machine
 from .message import HEADER_BYTES, TASK_DESCRIPTOR_BYTES, Message, task_message_bytes
 from .network import (
@@ -30,7 +30,6 @@ from .topology import (
     TreeTopology,
     make_topology,
     mesh_shape_for,
-    min_cross_block_distance,
 )
 from .collectives import BinomialBroadcast, GatherTree, modeled_barrier_latency
 
@@ -38,7 +37,6 @@ __all__ = [
     "BinomialBroadcast",
     "ContentionNetwork",
     "EventHandle",
-    "EventLanes",
     "FullyConnectedTopology",
     "GatherTree",
     "HEADER_BYTES",
@@ -59,7 +57,6 @@ __all__ = [
     "TreeTopology",
     "make_topology",
     "mesh_shape_for",
-    "min_cross_block_distance",
     "modeled_barrier_latency",
     "task_message_bytes",
 ]

@@ -153,10 +153,6 @@ class IdealNetwork:
         self.stats = NetworkStats()
         #: observability: set by Machine.attach_tracer; None = no tracing
         self.tracer = None
-        #: sharded execution: set by repro.shard while a sharded run is
-        #: being driven; observes cross-shard traffic at the transport
-        #: layer.  None = zero overhead (one attribute check per send).
-        self.shard_router = None
         self._hops = hop_table(topology)
 
     def __getstate__(self) -> dict:
@@ -190,11 +186,8 @@ class IdealNetwork:
             tr.instant(msg.src, "net", f"send:{msg.kind}", self.sim.now,
                        {"dest": msg.dest, "size": msg.size, "hops": hops,
                         "tasks": tasks_carried})
-        lat = self.latency.wormhole_latency(hops, msg.size)
-        sr = self.shard_router
-        if sr is not None:
-            sr.observe(msg, self.sim.now, self.sim.now + lat, tasks_carried)
-        self.sim.schedule(lat, self._deliver, msg)
+        self.sim.schedule(self.latency.wormhole_latency(hops, msg.size),
+                          self._deliver, msg)
 
 
 class ContentionNetwork:
@@ -219,8 +212,6 @@ class ContentionNetwork:
         self.stats = NetworkStats()
         #: observability: set by Machine.attach_tracer; None = no tracing
         self.tracer = None
-        #: sharded execution hook (see IdealNetwork.shard_router)
-        self.shard_router = None
         # earliest free time of each directed link
         self._link_free: dict[tuple[int, int], float] = {}
         self._transmits_since_prune = 0
@@ -252,9 +243,6 @@ class ContentionNetwork:
             tr.counter(msg.src, "net", "link_backlog", self.sim.now,
                        max(0.0, t - self.sim.now
                            - occupancy * (len(path) - 1)))
-        sr = self.shard_router
-        if sr is not None:
-            sr.observe(msg, self.sim.now, t, tasks_carried)
         self.sim.schedule_at(t, self._deliver, msg)
         self._transmits_since_prune += 1
         if self._transmits_since_prune >= self._PRUNE_INTERVAL:

@@ -86,10 +86,6 @@ class Node:
         #: lease/refutation — a departed node stays dark until a future
         #: join handshake readmits it.
         self.departed = False
-        #: sharded execution: which mesh shard owns this node (set by
-        #: repro.shard while a sharded run is driven; None = unsharded).
-        #: Used for per-shard CPU accounting and shard-grouped traces.
-        self.shard: Optional[int] = None
 
     # ------------------------------------------------------------------
     # message handling

@@ -27,7 +27,6 @@ __all__ = [
     "mesh_shape_for",
     "hop_table",
     "make_topology",
-    "min_cross_block_distance",
 ]
 
 
@@ -420,43 +419,6 @@ def hop_table(topology: Topology) -> tuple[tuple[int, ...], ...]:
     wraps), so callers validate ranks first.
     """
     return _hop_rows(type(topology), topology.shape)
-
-
-def min_cross_block_distance(topology: Topology,
-                             blocks: Sequence[tuple[int, int]]) -> int:
-    """Minimum hop distance between ranks in *different* blocks.
-
-    ``blocks`` are half-open contiguous rank ranges ``(lo, hi)`` covering
-    ``0..num_nodes``.  This is the quantity that sizes the conservative
-    time window of sharded execution: no cross-shard message can be in
-    flight for less than ``per_hop * min_cross_block_distance``.
-
-    Contiguous rank blocks on row-major meshes are row bands, so the
-    boundary ranks ``(hi-1, hi)`` of adjacent blocks are almost always
-    the closest pair; they are probed first and the exhaustive
-    cross-pair scan only runs when that shortcut is not already minimal.
-    """
-    if len(blocks) < 2:
-        raise ValueError("need at least two blocks for a cross distance")
-    best = None
-    for lo, hi in blocks[:-1]:
-        d = topology.distance(hi - 1, hi)
-        if best is None or d < best:
-            best = d
-    if best <= 1:
-        return best
-    for a in range(len(blocks)):
-        alo, ahi = blocks[a]
-        for b in range(a + 1, len(blocks)):
-            blo, bhi = blocks[b]
-            for u in range(alo, ahi):
-                for v in range(blo, bhi):
-                    d = topology.distance(u, v)
-                    if d < best:
-                        best = d
-                        if best <= 1:
-                            return best
-    return best
 
 
 def make_topology(kind: str, num_nodes: int, **kwargs) -> Topology:

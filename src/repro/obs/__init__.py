@@ -45,7 +45,6 @@ from .metrics import (
     METRICS_SCHEMA,
     REPORT_SCHEMA,
     MetricsRegistry,
-    coerce_report,
     make_report,
     percentile,
     validate_report,
@@ -66,7 +65,6 @@ __all__ = [
     "Span",
     "Tracer",
     "attribution_rollup",
-    "coerce_report",
     "collapsed_stacks",
     "make_report",
     "memory_audit",

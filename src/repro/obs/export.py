@@ -20,7 +20,6 @@ from typing import Iterable, Union
 from .tracer import TRACK_ORDER, Tracer
 
 __all__ = [
-    "merge_shard_traces",
     "trace_to_chrome",
     "trace_to_jsonl",
     "write_chrome_trace",
@@ -37,38 +36,8 @@ def _track(cat: str) -> int:
         return len(TRACK_ORDER)
 
 
-def merge_shard_traces(records_by_shard: dict) -> Tracer:
-    """Merge per-shard record streams into one timeline tracer.
-
-    ``records_by_shard`` maps shard index -> raw record list (the shape
-    each :class:`~repro.shard.worker.ShardWorker` tracer collects).  The
-    merged stream is globally time-ordered with shard index as the tie
-    break, so records from different shards at the same simulated time
-    interleave deterministically regardless of worker completion order.
-    Dropped-record counts are summed.
-    """
-    stamped = []
-    dropped = 0
-    for shard in sorted(records_by_shard):
-        recs = records_by_shard[shard]
-        dropped += getattr(recs, "dropped", 0)
-        for i, rec in enumerate(getattr(recs, "records", recs)):
-            stamped.append((rec["t"], shard, i, rec))
-    stamped.sort(key=lambda item: item[:3])
-    return Tracer.from_records([rec for *_sort, rec in stamped], dropped)
-
-
-def trace_to_chrome(
-    tracer: Tracer, label: str = "repro", shard_of=None
-) -> dict:
-    """Render a tracer into a Chrome ``trace_event`` JSON object.
-
-    ``shard_of`` optionally maps a node rank to its shard (any
-    ``__getitem__``, e.g. the dense owners list from
-    :meth:`repro.shard.Partition.owners`); when given, process names
-    become ``node N (shard S)`` and processes sort grouped by shard in
-    the Perfetto UI.
-    """
+def trace_to_chrome(tracer: Tracer, label: str = "repro") -> dict:
+    """Render a tracer into a Chrome ``trace_event`` JSON object."""
     events: list[dict] = []
     seen_tracks: set = set()
     for rec in tracer.records:
@@ -98,23 +67,10 @@ def trace_to_chrome(
         events.append(ev)
     meta: list[dict] = []
     for node in sorted({n for n, _t, _c in seen_tracks}):
-        shard = None
-        if shard_of is not None:
-            try:
-                shard = shard_of[node]
-            except (IndexError, KeyError, TypeError):
-                shard = None
-        pname = f"node {node}" if shard is None else f"node {node} (shard {shard})"
         meta.append(
             {"name": "process_name", "ph": "M", "pid": node, "tid": 0,
-             "args": {"name": pname}}
+             "args": {"name": f"node {node}"}}
         )
-        if shard is not None:
-            # group processes by shard in the UI: shard-major sort key
-            meta.append(
-                {"name": "process_sort_index", "ph": "M", "pid": node,
-                 "tid": 0, "args": {"sort_index": shard * 4096 + node}}
-            )
     for node, tid, cat in sorted(seen_tracks):
         meta.append(
             {"name": "thread_name", "ph": "M", "pid": node, "tid": tid,
@@ -138,15 +94,11 @@ def trace_to_jsonl(tracer: Tracer) -> Iterable[str]:
 
 
 def write_chrome_trace(
-    tracer: Tracer, path: Union[str, Path], label: str = "repro",
-    shard_of=None,
+    tracer: Tracer, path: Union[str, Path], label: str = "repro"
 ) -> Path:
     """Write the Chrome JSON to ``path``; returns the path written."""
     path = Path(path)
-    path.write_text(
-        json.dumps(trace_to_chrome(tracer, label=label, shard_of=shard_of))
-        + "\n"
-    )
+    path.write_text(json.dumps(trace_to_chrome(tracer, label=label)) + "\n")
     return path
 
 

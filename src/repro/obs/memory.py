@@ -2,10 +2,10 @@
 
 A 1024×1024-mesh run holds a million :class:`Node` objects, a heap of
 pending event entries (each an entry tuple plus its
-:class:`EventHandle`), per-node CPU queues and protocol state,
-and (sharded) numpy event lanes.  Before budgeting such a run, one needs
-to know the per-subsystem footprint — which structure grows with nodes,
-which with pending events, which with in-flight messages.
+:class:`EventHandle`), and per-node CPU queues and protocol state.
+Before budgeting such a run, one needs to know the per-subsystem
+footprint — which structure grows with nodes, which with pending
+events, which with in-flight messages.
 
 :func:`memory_audit` walks a live :class:`~repro.machine.machine.Machine`
 and reports counts plus byte estimates per subsystem::
@@ -15,16 +15,15 @@ and reports counts plus byte estimates per subsystem::
      "subsystems": {
         "nodes":   {"count": 256, "bytes": ..., "cpu_queue_items": ...},
         "events":  {"count": ..., "bytes": ..., "dead": ...},
-        "lanes":   {"count": ..., "bytes": ...},
         ...
      },
      "total_bytes": ...,
      "per_node_bytes": ...}
 
 Estimates are ``sys.getsizeof``-based shallow sizes times population
-counts (plus numpy ``nbytes`` for lanes) — a *budgeting* number, not an
-allocator-exact one: payload objects referenced from queues (closures,
-message bodies) are counted at container-slot granularity.  The point is
+counts — a *budgeting* number, not an allocator-exact one: payload
+objects referenced from queues (closures, message bodies) are counted
+at container-slot granularity.  The point is
 the scaling shape (bytes/node, bytes/event), which this captures.
 """
 
@@ -47,12 +46,8 @@ def _sizeof(obj) -> int:
         return _PTR
 
 
-def memory_audit(machine, lanes=None) -> dict:
-    """Audit a live machine's memory footprint per subsystem.
-
-    ``lanes`` optionally adds an :class:`~repro.machine.event.EventLanes`
-    population (the shard worker owns it outside the machine).
-    """
+def memory_audit(machine) -> dict:
+    """Audit a live machine's memory footprint per subsystem."""
     sim = machine.sim
     nodes = machine.nodes
 
@@ -126,18 +121,6 @@ def memory_audit(machine, lanes=None) -> dict:
         "network": network,
         "topology": topology,
     }
-
-    # --- event lanes (sharded runs) --------------------------------------
-    if lanes is not None:
-        lane_bytes = _sizeof(lanes)
-        slots = 0
-        for i in range(len(lanes)):
-            arr = lanes.times(i)
-            slots += int(arr.size)
-            lane_bytes += int(arr.nbytes) + _sizeof(arr)
-        subsystems["lanes"] = {
-            "count": len(lanes), "slots": slots, "bytes": lane_bytes,
-        }
 
     total = sum(s["bytes"] for s in subsystems.values())
     num_nodes = len(nodes)

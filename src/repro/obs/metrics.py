@@ -22,8 +22,7 @@ onto:
   shared ``repro.report/1`` envelope (``{"schema", "kind", "data",
   "metrics"?}``); :func:`validate_report` is the strict counterpart
   (unknown top-level fields are rejected, exactly like the v1 wire
-  schema).  :func:`coerce_report` is the one-release shim that upgrades
-  a legacy ad-hoc dict while emitting a :class:`DeprecationWarning`.
+  schema).
 
 Zero-cost-when-disabled contract
 --------------------------------
@@ -36,7 +35,6 @@ unconditionally; the disabled handle is a no-op method away.
 
 from __future__ import annotations
 
-import warnings
 from typing import Iterable, Optional
 
 __all__ = [
@@ -49,7 +47,6 @@ __all__ = [
     "NULL_HISTOGRAM",
     "METRICS_SCHEMA",
     "REPORT_SCHEMA",
-    "coerce_report",
     "make_report",
     "percentile",
     "summarize",
@@ -375,23 +372,3 @@ def validate_report(doc: object, kind: Optional[str] = None) -> dict:
             raise ValueError(
                 f"report 'metrics' must be a {METRICS_SCHEMA} snapshot")
     return doc
-
-
-def coerce_report(doc: dict, kind: str) -> dict:
-    """One-release shim: upgrade a legacy ad-hoc dict into the envelope.
-
-    Already-enveloped documents pass through untouched; anything else is
-    wrapped via :func:`make_report` with a :class:`DeprecationWarning`
-    naming the replacement.  The shim (and the ad-hoc shapes behind it)
-    go away one release after every producer emits the envelope itself.
-    """
-    if isinstance(doc, dict) and doc.get("schema") == REPORT_SCHEMA:
-        return validate_report(doc, kind)
-    warnings.warn(
-        f"ad-hoc {kind} report dicts are deprecated; emit the "
-        f"{REPORT_SCHEMA} envelope via repro.obs.metrics.make_report "
-        f"(this shim wraps the legacy shape for one release)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return make_report(kind, doc)

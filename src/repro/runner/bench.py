@@ -31,7 +31,6 @@ from repro.machine.event import Simulator
 __all__ = [
     "bench_checkpoint_overhead",
     "bench_events_per_sec",
-    "bench_sharded",
     "bench_warm_start",
     "check_bench",
     "emit_bench",
@@ -112,73 +111,6 @@ def bench_events_per_sec(events: int = 200_000, reps: int = 5) -> dict:
         },
         "python": sys.version.split()[0],
         "platform": platform.platform(),
-    }
-
-
-def bench_sharded(
-    events: int = 200_000,
-    shard_counts: tuple = (1, 2, 4),
-    fanout: int = 1000,
-    reps: int = 5,
-    num_nodes: int = 32,
-) -> dict:
-    """Sharded-engine throughput at 1/2/4 shards, both shapes.
-
-    Runs the :mod:`repro.shard` window engine inline (all shards in one
-    process — on a single visible core that is also the fastest mode;
-    the speedup comes from the vectorized :class:`EventLanes` batch
-    kernel, not from process parallelism):
-
-    * ``loaded`` — the wide chain population, lane-vectorized per shard
-      with cross-shard ticks every 16 steps.  This is the headline
-      number: whole same-window waves dispatch with one Python call.
-      Measured over a larger budget (``5 x events``) because the batch
-      kernel finishes 200k events in milliseconds.
-    * ``chain`` — one serial chain per shard on the per-event windowed
-      drain; batch width 1, so this is the honest no-batching floor
-      (window barriers make it *slower* than the unsharded chain).
-
-    The window width is one minimum-distance mesh hop under the
-    Paragon-like latency model, exactly what a strategy run on the
-    default machine gets.
-    """
-    from repro.machine.network import PARAGON_LIKE
-    from repro.shard import run_program
-    from repro.shard.programs import ChainStorm, LoadedStorm
-
-    delta = PARAGON_LIKE.per_hop  # one minimum-distance hop
-    loaded_events = events * 5
-    loaded: dict[str, int] = {}
-    chain: dict[str, int] = {}
-    for shards in shard_counts:
-        best = 0.0
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            res = run_program(
-                LoadedStorm(fanout=fanout), num_nodes=num_nodes,
-                shards=shards, delta=delta, budget_events=loaded_events)
-            dt = time.perf_counter() - t0
-            best = max(best, sum(r["executed"] for r in res) / dt)
-        loaded[str(shards)] = round(best)
-        best = 0.0
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            res = run_program(
-                ChainStorm(), num_nodes=num_nodes, shards=shards,
-                delta=delta, budget_events=events)
-            dt = time.perf_counter() - t0
-            best = max(best, sum(r["executed"] for r in res) / dt)
-        chain[str(shards)] = round(best)
-    return {
-        "benchmark": "sharded_event_throughput",
-        "engine": "repro.shard (inline mode, conservative windows)",
-        "events": events,
-        "loaded_events": loaded_events,
-        "reps": reps,
-        "shard_counts": list(shard_counts),
-        "fanout": fanout,
-        "window_seconds": delta,
-        "events_per_sec": {"loaded": loaded, "chain": chain},
     }
 
 
@@ -299,24 +231,10 @@ def emit_bench(
     path: Optional[Path | str] = None,
     events: int = 200_000,
     reps: int = 5,
-    shard_counts: tuple = (1, 2, 4),
 ) -> dict:
-    """Run the benchmarks and write the JSON report; returns the report.
-
-    The document carries the serial kernel numbers at the top level
-    (back-compatible shape) plus a ``sharded`` section from
-    :func:`bench_sharded`.
-    """
+    """Run the benchmarks and write the JSON report; returns the report."""
     out = Path(path) if path is not None else DEFAULT_BENCH_PATH
     report = bench_events_per_sec(events=events, reps=reps)
-    sharded = bench_sharded(events=events, reps=reps,
-                            shard_counts=tuple(shard_counts))
-    loaded = report["events_per_sec"]["loaded"]
-    sharded["speedup_vs_serial_loaded"] = {
-        shards: round(rate / loaded, 2)
-        for shards, rate in sharded["events_per_sec"]["loaded"].items()
-    }
-    report["sharded"] = sharded
     out.write_text(json.dumps(report, indent=2) + "\n")
     return report
 
@@ -328,7 +246,6 @@ def check_bench(
     tolerance: float = REGRESSION_TOLERANCE,
     report: Optional[dict] = None,
     checkpoint_report: Optional[dict] = None,
-    sharded_report: Optional[dict] = None,
 ) -> dict:
     """Compare a fresh measurement against the committed baseline.
 
@@ -337,12 +254,6 @@ def check_bench(
     measured rate falls more than ``tolerance`` below the baseline, or
     when the checkpoint-overhead gate fails.  The baseline file is never
     rewritten by a check (pass ``report`` to reuse a measurement).
-
-    When the baseline document carries a ``sharded`` section (written by
-    :func:`emit_bench` since the shard engine landed), every
-    shape-at-shard-count rate in it is gated at the same ``tolerance``
-    under keys like ``sharded:loaded@4``.  Baselines without the section
-    (older files) skip the sharded gate entirely.
 
     ``events``/``reps`` default to what the baseline was measured with
     (throughput depends on event count — the ``loaded`` shape amortizes
@@ -358,7 +269,6 @@ def check_bench(
     baseline_path = Path(path) if path is not None else DEFAULT_BENCH_PATH
     doc = json.loads(baseline_path.read_text())
     baseline = doc["events_per_sec"]
-    baseline_sharded = (doc.get("sharded") or {}).get("events_per_sec")
     if report is None:
         if events is None:
             events = doc.get("events", 200_000)
@@ -368,31 +278,8 @@ def check_bench(
         if checkpoint_report is None:
             checkpoint_report = bench_checkpoint_overhead(
                 events=events, reps=reps)
-        if sharded_report is None and baseline_sharded is not None:
-            sharded_report = bench_sharded(events=events, reps=reps)
-    if sharded_report is None:
-        sharded_report = report.get("sharded")
     measured = report["events_per_sec"]
     ratios = {k: measured[k] / baseline[k] for k in baseline}
-    if baseline_sharded is not None and sharded_report is not None:
-        got = sharded_report["events_per_sec"]
-        for shape, per_count in baseline_sharded.items():
-            for count, rate in per_count.items():
-                m = got.get(shape, {}).get(count)
-                if m is not None:
-                    ratios[f"sharded:{shape}@{count}"] = m / rate
-        baseline = {
-            **baseline,
-            **{f"sharded:{shape}@{count}": rate
-               for shape, per_count in baseline_sharded.items()
-               for count, rate in per_count.items()},
-        }
-        measured = {
-            **measured,
-            **{f"sharded:{shape}@{count}": m
-               for shape, per_count in got.items()
-               for count, m in per_count.items()},
-        }
     failures = [k for k, r in ratios.items() if r < 1.0 - tolerance]
     checkpoint = None
     if checkpoint_report is not None:

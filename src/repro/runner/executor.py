@@ -51,16 +51,12 @@ from .spec import (
 __all__ = [
     "RetryPolicy",
     "RunReport",
-    "clamp_jobs_for_shards",
     "resolve_jobs",
     "run_requests",
     "run_requests_report",
 ]
 
 _ENV_JOBS = "REPRO_JOBS"
-#: Set to a truthy value to run ``jobs x shards`` beyond the core count
-#: anyway (e.g. when the shard workers are known to be I/O-light).
-_ENV_ALLOW_OVERSUBSCRIBE = "REPRO_ALLOW_OVERSUBSCRIBE"
 
 #: Default per-cell wall-clock limit (seconds) in parallel mode.  Paper-scale
 #: cells run minutes; this is a hang backstop, not a budget.
@@ -202,49 +198,6 @@ def resolve_jobs(jobs: Optional[Union[int, str]] = None) -> int:
     return jobs
 
 
-def _available_cores() -> int:
-    """Cores this process may actually use (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0)) or 1
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
-
-def clamp_jobs_for_shards(
-    njobs: int, requests: Sequence[RunRequest]
-) -> int:
-    """The oversubscription guard: keep ``jobs x shards`` within cores.
-
-    Sharded cells multiply the worker footprint — ``--jobs 4`` over
-    4-shard requests asks for 16 concurrent workers.  When that exceeds
-    the visible cores, warn and clamp ``jobs`` so the product fits
-    (``REPRO_ALLOW_OVERSUBSCRIBE=1`` keeps the requested value).
-    Unsharded grids are untouched: plain cell parallelism has always
-    been allowed to saturate the machine.
-    """
-    if njobs <= 1:
-        return njobs
-    shards = max((req.shards for req in requests if req.shards >= 2),
-                 default=0)
-    if shards < 2:
-        return njobs
-    cores = _available_cores()
-    if njobs * shards <= cores:
-        return njobs
-    allow = os.environ.get(_ENV_ALLOW_OVERSUBSCRIBE, "").strip().lower()
-    if allow in ("1", "true", "yes", "on"):
-        return njobs
-    clamped = max(1, cores // shards)
-    warnings.warn(
-        f"jobs={njobs} x shards={shards} = {njobs * shards} workers "
-        f"exceeds the {cores} available core(s); clamping jobs to "
-        f"{clamped} (set {_ENV_ALLOW_OVERSUBSCRIBE}=1 to oversubscribe)",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-    return clamped
-
-
 def run_requests(
     requests: Sequence[RunRequest],
     jobs: Optional[Union[int, str]] = None,
@@ -305,7 +258,7 @@ def run_requests_report(
     default) costs nothing.
     """
     requests = list(requests)
-    njobs = clamp_jobs_for_shards(resolve_jobs(jobs), requests)
+    njobs = resolve_jobs(jobs)
     store: Optional[ResultCache]
     if cache is True:
         store = ResultCache()

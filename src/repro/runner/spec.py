@@ -56,7 +56,7 @@ class WireFormatError(ValueError):
 _WIRE_FIELDS = frozenset((
     "workload", "strategy", "num_nodes", "seed", "scale", "config",
     "topology_case", "kind", "params", "trace", "faults",
-    "session_overrides", "shards",
+    "session_overrides",
 ))
 
 
@@ -151,13 +151,6 @@ class RunRequest:
     #: ``(key, value)`` pairs (see ``session.OVERRIDABLE``), e.g.
     #: ``(("contention", True),)``.  Empty serializes to nothing.
     session_overrides: tuple = ()
-    #: sharded execution: ``>= 2`` drives the cell through the
-    #: conservative-window shard engine (:mod:`repro.shard`).  ``0``/``1``
-    #: is the plain serial loop and serializes to nothing, keeping
-    #: pre-existing cache keys stable.  Results are bit-identical either
-    #: way; the knob changes *how* the cell is executed, but it still
-    #: gets its own cache key because ``metrics.extra["shard"]`` differs.
-    shards: int = 0
 
     def canonical(self) -> dict:
         """Canonical, JSON-ready form (stable field order via sort_keys)."""
@@ -181,8 +174,6 @@ class RunRequest:
             out["faults"] = self.faults.canonical()
         if self.session_overrides:
             out["session_overrides"] = [list(kv) for kv in self.session_overrides]
-        if self.shards >= 2:
-            out["shards"] = self.shards
         return out
 
     def param(self, key: str, default=None):
@@ -256,7 +247,7 @@ class RunRequest:
         kwargs: dict = {}
         kwargs["workload"] = _wire_str(doc, "workload")
         kwargs["strategy"] = _wire_str(doc, "strategy")
-        for name in ("num_nodes", "seed", "shards"):
+        for name in ("num_nodes", "seed"):
             if name in doc:
                 kwargs[name] = _wire_int(doc, name)
         if "scale" in doc:
@@ -299,10 +290,9 @@ class RunRequest:
         faults = ""
         if self.faults is not None and not self.faults.is_null():
             faults = "/faults"
-        shards = f"/shards{self.shards}" if self.shards >= 2 else ""
         return (
             f"{self.workload}:{self.strategy}{kind}{case}"
-            f"@{self.num_nodes}n/seed{self.seed}/{self.scale}{faults}{shards}"
+            f"@{self.num_nodes}n/seed{self.seed}/{self.scale}{faults}"
         )
 
 
@@ -320,11 +310,6 @@ def execute_request(req: RunRequest) -> "RunMetrics":
     if faulty and (req.kind != "sim" or req.topology_case is not None):
         raise ValueError(
             f"fault plans apply only to kind='sim' strategy cells, "
-            f"not {req.label()}"
-        )
-    if req.shards >= 2 and (req.kind != "sim" or req.topology_case is not None):
-        raise ValueError(
-            f"shards applies only to kind='sim' strategy cells, "
             f"not {req.label()}"
         )
     try:

@@ -47,8 +47,8 @@ Crash discipline (the robustness contract):
 * **Health-state machine** — ``ok → degraded → shedding``, driven by
   queue depth, consecutive journal-write failures, and the recent
   slice-failure rate.  Anything short of ``ok`` stops admitting new
-  work (503 + deterministic ``Retry-After``) and pauses checkpointable
-  running sessions; recovery to ``ok`` resumes them automatically.
+  work (503 + deterministic ``Retry-After``) and pauses running
+  sessions; recovery to ``ok`` resumes them automatically.
   ``GET /v1/healthz`` surfaces the state and its reasons.
 
 Pause/resume/fork go through :mod:`repro.snapshot`: pausing checkpoints
@@ -285,7 +285,7 @@ class HealthMonitor:
 
     def fault_reasons(self) -> list[str]:
         """Fault signals: something is *broken*, not merely busy — these
-        stop new admissions (503) and pause checkpointable sessions."""
+        stop new admissions (503) and pause running sessions."""
         cfg = self.config
         out = []
         if self.journal_fail_streak >= cfg.journal_fail_threshold:
@@ -664,8 +664,7 @@ class SessionManager:
                 self._c_coalesced.inc()
                 return live
 
-        if (self.result_cache is not None and not request.trace
-                and request.shards < 2):
+        if self.result_cache is not None and not request.trace:
             hit = self.result_cache.get(request)
             if hit is not None:
                 self._c_cache_hits.inc()
@@ -785,8 +784,7 @@ class SessionManager:
     def _update_health(self) -> tuple[str, list[str]]:
         """Re-evaluate health and apply its side effects.
 
-        Entering fault mode pauses every checkpointable running session
-        (they park durably instead of grinding against whatever is
+        Entering fault mode pauses every running session (they park durably instead of grinding against whatever is
         broken); leaving it resumes them.  Load-only degradation (a
         busy queue) has no side effects — admission control already
         sheds the excess.
@@ -797,8 +795,7 @@ class SessionManager:
         if faults and not self._fault_mode:
             self._fault_mode = True
             for rec in self.records.values():
-                if (rec.state == "running" and rec.request.shards < 2
-                        and not rec.pause_requested):
+                if rec.state == "running" and not rec.pause_requested:
                     rec.pause_requested = True
                     rec.health_paused = True
         elif not faults:
@@ -908,10 +905,6 @@ class SessionManager:
         rec = self.get(session_id)
         if rec.state not in _ACTIVE:
             raise _conflict(rec, "pause", "while it is queued or running")
-        if rec.request.shards >= 2:
-            raise _conflict(
-                rec, "pause",
-                "— sharded sessions run their windows to completion")
         rec.pause_requested = True
         await rec.wait_leaving("running")
         if rec.state == "queued":
@@ -1070,13 +1063,11 @@ class SessionManager:
         self._h_wait.observe(max(0.0, time.monotonic() - rec.created))
         run_started = time.monotonic()
         rec.transition("running")
-        sliced = rec.request.shards < 2
         slice_events = max(1, self.config.slice_events)
         while True:
             t0 = time.monotonic()
             e0, _ = rec.session.progress()
-            metrics = await self._run_slice(
-                rec, loop, slice_events if sliced else None)
+            metrics = await self._run_slice(rec, loop, slice_events)
             wall = max(1e-9, time.monotonic() - t0)
             rec.slices += 1
             # _run_slice may have rebuilt rec.session; re-read it
@@ -1088,7 +1079,7 @@ class SessionManager:
                 rec.metrics = metrics
                 self._note_membership(metrics)
                 if (self.result_cache is not None and not rec.request.trace
-                        and not rec.restored and rec.request.shards < 2):
+                        and not rec.restored):
                     # a straight start-to-finish run is exactly what
                     # execute_request() would have produced: cache it
                     # (failures here lose a cache entry, not a result)
@@ -1110,7 +1101,7 @@ class SessionManager:
                 await self._checkpoint(rec, loop)
                 rec.transition("paused", checkpoint=rec.checkpoint_key)
                 return
-            if (self.journal is not None and sliced
+            if (self.journal is not None
                     and self.config.checkpoint_every_slices > 0
                     and rec.slices % self.config.checkpoint_every_slices == 0):
                 await self._auto_checkpoint(rec, loop)
@@ -1139,8 +1130,7 @@ class SessionManager:
                 self._c_mem_elections.inc()
             self._c_mem_lost_tasks.inc(max(0, int(entry.get("lost_delta", 0))))
 
-    async def _run_slice(self, rec: SessionRecord, loop,
-                         max_events: Optional[int]):
+    async def _run_slice(self, rec: SessionRecord, loop, max_events: int):
         """One supervised slice: deadline, rebuild-on-failure, backoff.
 
         Returns the slice result (metrics or ``None``); raises
@@ -1162,9 +1152,7 @@ class SessionManager:
             def work(sess=sess, attempt=attempt):
                 if hook is not None:
                     hook(rec, attempt)
-                if max_events is not None:
-                    return sess.run(max_events=max_events)
-                return sess.run()
+                return sess.run(max_events=max_events)
 
             future = loop.run_in_executor(self._pool, work)
             try:

@@ -72,15 +72,6 @@ class Session:
     trace:
         ``True`` to attach a fresh :class:`repro.obs.Tracer`, or a
         tracer instance; ``None``/``False`` runs untraced.
-    shards:
-        ``0``/``1`` for the plain serial event loop (default).  ``>= 2``
-        drives a full :meth:`run` through the sharded execution engine
-        (:mod:`repro.shard`): the mesh is split into contiguous rank
-        blocks and drained in conservative time windows with cross-shard
-        traffic batched at window boundaries.  Results are bit-identical
-        to serial; ``metrics.extra["shard"]`` reports the window/traffic
-        summary.  Sliced runs (``until=``/``max_events=``) fall back to
-        the serial drain so checkpoint semantics are unchanged.
     seed, num_nodes, scale, config, contention:
         As elsewhere in the harness.
     """
@@ -98,10 +89,7 @@ class Session:
         faults=None,
         trace=None,
         contention: bool = False,
-        shards: int = 0,
     ) -> None:
-        if shards < 0:
-            raise ValueError(f"shards must be >= 0, got {shards}")
         self.workload = workload
         self.topology = topology
         self.strategy = strategy
@@ -111,7 +99,6 @@ class Session:
         self.config = config
         self.faults = faults
         self.contention = contention
-        self.shards = shards
         self.tracer = self._coerce_tracer(trace)
         self.workload_label: Optional[str] = None
         self._trace: Optional[WorkloadTrace] = None
@@ -281,18 +268,10 @@ class Session:
         """
         self._wire()
         self._driver.start_once()
-        shard_info = None
-        if self.shards >= 2 and until is None and max_events is None:
-            from repro.shard import drive_sharded
-
-            shard_info = drive_sharded(self._machine, self.shards)
-        else:
-            self._machine.run(until=until, max_events=max_events)
+        self._machine.run(until=until, max_events=max_events)
         if self._machine.sim.pending() > 0:
             return None  # stopped by the slice limit, more work queued
         metrics = self._driver.finish()
-        if shard_info is not None:
-            metrics.extra["shard"] = shard_info
         if self.workload_label is not None:
             metrics.extra["workload_label"] = self.workload_label
         return metrics
@@ -328,14 +307,12 @@ class Session:
             scale=self.scale,
             num_nodes=self.num_nodes,
             seed=self.seed,
-            shards=self.shards,
             started=bool(self._driver is not None and self._driver.started),
         )
         return capture(self._machine, meta)
 
     @classmethod
-    def restore(cls, snapshot: Snapshot,
-                shards: Optional[int] = None) -> "Session":
+    def restore(cls, snapshot: Snapshot) -> "Session":
         """Rebuild a session from :meth:`checkpoint` output.
 
         A wired snapshot restores to a wired session (same driver,
@@ -343,20 +320,10 @@ class Session:
         never having stopped).  A prepared snapshot restores to a
         prepared session whose strategy/faults/tracer can still be
         chosen — that is the warm-start fork point.
-
-        ``shards=None`` adopts the shard count the checkpoint was taken
-        with; passing an explicit count that disagrees raises
-        :class:`repro.snapshot.SnapshotShardMismatch` *before* any state
-        is adopted, instead of letting the mismatch surface later as a
-        confusing mid-run failure.
         """
-        from repro.snapshot import SnapshotShardMismatch
         from repro.snapshot import restore as restore_machine
 
         meta = snapshot.meta
-        snap_shards = int(meta.get("shards", 0) or 0)
-        if shards is not None and shards != snap_shards:
-            raise SnapshotShardMismatch(snap_shards, shards)
         machine = restore_machine(snapshot)
         sess = cls.__new__(cls)
         sess.workload = meta.get("workload_key")
@@ -368,7 +335,6 @@ class Session:
         sess.config = ExecutionConfig()
         sess.faults = machine.faults.plan if machine.faults is not None else None
         sess.contention = False
-        sess.shards = snap_shards
         sess.tracer = machine.tracer
         sess.workload_label = meta.get("workload_label")
         sess._machine = machine
@@ -410,8 +376,7 @@ class Session:
                 "cannot override strategy/faults/config on a wired fork; "
                 "fork before the first run() call"
             )
-        for key in ("strategy", "faults", "config", "contention", "topology",
-                    "shards"):
+        for key in ("strategy", "faults", "config", "contention", "topology"):
             if key in overrides:
                 setattr(sess, key, overrides.pop(key))
         if "trace" in overrides:
@@ -444,7 +409,6 @@ class Session:
             config=req.config,
             faults=req.faults if faulty else None,
             trace=bool(req.trace),
-            shards=getattr(req, "shards", 0),
             **overrides,
         )
 
@@ -473,7 +437,6 @@ class Session:
         sess.config = config
         sess.faults = machine.faults.plan if machine.faults is not None else None
         sess.contention = False
-        sess.shards = 0
         sess.tracer = tracer if tracer is not None else machine.tracer
         sess.workload_label = None
         sess._trace = trace

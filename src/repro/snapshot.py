@@ -54,7 +54,6 @@ __all__ = [
     "Snapshot",
     "SnapshotError",
     "SnapshotVersionError",
-    "SnapshotShardMismatch",
     "SnapshotCache",
     "capture",
     "restore",
@@ -67,8 +66,8 @@ __all__ = [
 #: v2: Node fencing fields (``fenced``/``_cpu_epoch``, epoch-stamped
 #: ``_finish`` events), partition state and the heartbeat detector in
 #: the FaultInjector graph.
-#: v3: sharded execution — ``Node.shard``, the networks' ``shard_router``
-#: hook, and the session meta's ``shards`` count.
+#: v3: windowed execution — a per-node partition owner, the networks'
+#: cross-partition router hook, and the session meta's partition count.
 #: v4: elastic membership — ``Node.membership``/``Node.departed``, the
 #: ``MembershipManager`` (epoch log, handshake/election timers) in the
 #: FaultInjector graph, and the driver's ``repinned``/``joined_nodes``/
@@ -76,7 +75,9 @@ __all__ = [
 #: v5: event-heap entries are ``(time, priority, seq, handle)`` tuples,
 #: and :class:`~repro.machine.event.EventHandle` carries a ``time`` slot
 #: instead of the ``key`` ordering tuple.
-SNAPSHOT_VERSION = 5
+#: v6: the v3 windowed-execution state (node owner, router hook, meta
+#: partition count) leaves the pickled graph.
+SNAPSHOT_VERSION = 6
 
 _MAGIC = b"repro-snapshot\n"
 
@@ -95,28 +96,6 @@ class SnapshotVersionError(SnapshotError):
         )
         self.found = found
         self.expected = expected
-
-
-class SnapshotShardMismatch(SnapshotVersionError):
-    """A checkpoint's shard configuration disagrees with the restore's.
-
-    Raised by :meth:`repro.session.Session.restore` before any state is
-    adopted, so a stale ``--shards`` flag fails with the two counts
-    named instead of a confusing downstream pickle/driver error.
-    """
-
-    def __init__(self, found_shards: int, expected_shards: int) -> None:
-        def _label(n: int) -> str:
-            return f"{n}-shard" if n >= 2 else "unsharded"
-
-        SnapshotError.__init__(
-            self,
-            f"snapshot was captured from a {_label(found_shards)} session "
-            f"and cannot restore into a {_label(expected_shards)} "
-            f"configuration; re-create the checkpoint or match --shards"
-        )
-        self.found = found_shards
-        self.expected = expected_shards
 
 
 @dataclass(frozen=True)

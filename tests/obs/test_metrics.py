@@ -10,7 +10,6 @@ zero-cost disabled mode mirroring ``NULL_TRACER``, and the strict
 from __future__ import annotations
 
 import json
-import warnings
 
 import pytest
 
@@ -21,7 +20,6 @@ from repro.obs.metrics import (
     NULL_HISTOGRAM,
     REPORT_SCHEMA,
     MetricsRegistry,
-    coerce_report,
     make_report,
     percentile,
     summarize,
@@ -203,15 +201,3 @@ def test_validate_report_is_strict():
         validate_report({**good, "metrics": {"schema": "nope"}})
     with pytest.raises(ValueError, match="JSON object"):
         validate_report([1])
-
-
-def test_coerce_report_shim_warns_once_per_legacy_dict():
-    legacy = {"events_per_sec": 123}  # the old ad-hoc shape
-    with pytest.warns(DeprecationWarning, match="ad-hoc bench report"):
-        doc = coerce_report(legacy, "bench")
-    assert doc["kind"] == "bench"
-    assert doc["data"] == legacy
-    # already-enveloped documents pass through silently, untouched
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert coerce_report(doc, "bench") is doc

@@ -35,7 +35,6 @@ def test_round_trip_everything():
         trace=True,
         faults=FaultPlan(drop_rate=0.01, seed=9),
         session_overrides=(("contention", True),),
-        shards=2,
     )
     again = RunRequest.from_json(req.to_json())
     assert again == req
@@ -50,16 +49,17 @@ def test_wire_doc_omits_optional_defaults():
     assert {"api_version", "workload", "strategy", "num_nodes",
             "seed"} <= set(doc)
     # ... while defaulted optionals stay off the wire (stable cache keys)
-    for absent in ("trace", "faults", "params", "kind", "shards",
-                   "session_overrides"):
+    for absent in ("trace", "faults", "params", "kind", "session_overrides"):
         assert absent not in doc
 
 
 def test_unknown_field_is_rejected_by_name():
-    doc = {"api_version": API_VERSION, "workload": "w", "strategy": "s",
-           "nodes": 32}
-    with pytest.raises(WireFormatError, match="nodes"):
-        RunRequest.from_wire(doc)
+    # a retired field is unknown at any value: no shim keeps it alive
+    for field, value in (("nodes", 32), ("shards", 0), ("shards", 2)):
+        doc = {"api_version": API_VERSION, "workload": "w", "strategy": "s",
+               field: value}
+        with pytest.raises(WireFormatError, match=field):
+            RunRequest.from_wire(doc)
 
 
 def test_wrong_api_version_is_rejected():

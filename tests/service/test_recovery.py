@@ -163,6 +163,36 @@ def test_missing_checkpoint_blob_restarts_from_scratch(tmp_path):
     asyncio.run(main())
 
 
+def test_journaled_request_with_retired_field_is_skipped(tmp_path):
+    # A journal left by an older build can carry a field this build's
+    # wire schema no longer accepts.  That one session is skipped (not
+    # re-admitted, not fatal); every other interrupted session finishes.
+    store = LocalDirStore(tmp_path)
+    journal = SessionJournal(store)
+    legacy = {**_req(seed=65).to_wire(), "shards": 2}
+    journal.admit("s0001-old00000", "tests", legacy, n=1)
+    journal.record("s0001-old00000",
+                   {"kind": "state", "state": "running", "seq": 2})
+    reqs = {_interrupted(journal, n, _req(seed=65 + n)): _req(seed=65 + n)
+            for n in (2, 3)}
+
+    async def main():
+        manager = SessionManager(_config(tmp_path), store=store)
+        summary = manager.recover()
+        assert summary["skipped"] == 1
+        assert summary["sessions"] == 2
+        assert summary["restarted"] == 2
+        assert "s0001-old00000" not in manager.records
+        await _drain(manager)
+        for sid, req in reqs.items():
+            rec = manager.records[sid]
+            assert rec.state == "done"
+            assert _wire(rec.metrics) == _direct(req)
+        await manager.shutdown()
+
+    asyncio.run(main())
+
+
 def test_readmission_bypasses_quota_and_buckets_restart_full(tmp_path):
     # Pinned semantic: tenant token buckets are in-memory only.  A
     # restart rebuilds them FULL, and journal re-admission never charges
