@@ -15,8 +15,8 @@ Quickstart
 >>> trace = nqueens_trace(10, split_depth=3)
 >>> machine = Machine(MeshTopology(4, 4), seed=42)
 >>> metrics = Session.from_parts(trace, RIPS("lazy", "any"), machine).run()
->>> metrics.efficiency > 0.3
-True
+>>> round(metrics.efficiency, 3)
+0.268
 
 See README.md for the architecture overview and EXPERIMENTS.md for the
 paper-vs-measured record.

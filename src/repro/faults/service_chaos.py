@@ -249,7 +249,7 @@ def _scenario_hung_slice(workdir: Path, seed: int) -> ServiceChaosCase:
         client = ServiceClient(bg.url, tenant="chaos")
         doc = client.submit(req)
         final = client.wait(doc["id"], timeout=120)
-        timeouts = bg.server.manager.slice_timeouts
+        timeouts = bg.server.manager.metrics.value("service.slice_timeouts")
         if final["state"] != "done":
             case.violations.append(
                 f"session ended {final['state']!r} instead of recovering "

@@ -29,6 +29,11 @@ Design notes
   protocols that cancel heavily (retry timers, refresh ticks) cannot grow
   the heap without bound: the queue length is bounded by ~2x the live
   event count.
+* There is exactly one loop that executes callbacks, and its only bound
+  is an event budget (``max_events``).  Every slice — service slices,
+  preemption, ``run --checkpoint-every`` — is a budgeted run, and a
+  traced run drives the same loop in chunks that end on the tracer's
+  counter-sample boundaries, so tracing adds no per-event check.
 * The simulator itself knows nothing about processors or messages; those
   live in :mod:`repro.machine.node` and :mod:`repro.machine.network`.
 """
@@ -49,6 +54,10 @@ _heappop = heapq.heappop
 #: queues from compacting on every cancel; the ratio makes compaction
 #: amortized O(1) per cancellation.
 _COMPACT_MIN_DEAD = 64
+
+#: Traced runs sample the ``sim`` counters every this many events
+#: (cumulative, so sliced and whole runs sample at the same events).
+_TRACE_STRIDE = 256
 
 
 class SimulationError(RuntimeError):
@@ -105,10 +114,9 @@ class Simulator:
         self._events_processed = 0
         self._running = False
         self._dead = 0  # cancelled events still sitting in the queue
-        # Observability: None means untraced — run() takes the exact
-        # pre-observability hot loop, checked once per call, not per event.
+        # Observability: None means untraced — run() drains in one call,
+        # checked once per run, not per event.
         self._tracer = None
-        self._trace_stride = 256  # counter sample period (events)
 
     # ------------------------------------------------------------------
     # clock
@@ -130,17 +138,16 @@ class Simulator:
     # ------------------------------------------------------------------
     # observability
     # ------------------------------------------------------------------
-    def attach_tracer(self, tracer, stride: int = 256) -> None:
-        """Route :meth:`run` through the instrumented loop.
+    def attach_tracer(self, tracer) -> None:
+        """Sample ``sim`` counters into ``tracer`` while :meth:`run` runs.
 
-        The traced loop emits ``sim`` counters (events processed, live
-        queue length) every ``stride`` events.  Passing ``None`` (or a
-        tracer whose ``enabled`` is False) restores the untraced hot
-        loop; the disabled path costs exactly one identity check per
-        ``run()`` call, never per event.
+        A traced run emits the events-processed and live-queue-length
+        counters every :data:`_TRACE_STRIDE` events.  Passing ``None``
+        (or a tracer whose ``enabled`` is False) detaches; the untraced
+        run pays one identity check per :meth:`run` call, never per
+        event.
         """
         self._tracer = tracer if (tracer is not None and tracer.enabled) else None
-        self._trace_stride = max(1, int(stride))
 
     # ------------------------------------------------------------------
     # scheduling
@@ -191,141 +198,73 @@ class Simulator:
     # ------------------------------------------------------------------
     def _compact(self) -> None:
         """Drop cancelled events and re-heapify.  Mutates the queue in
-        place (``run`` holds a local alias to it)."""
+        place (``_drain`` holds a local alias to it)."""
         self._queue[:] = [e for e in self._queue if not e[3].cancelled]
         heapq.heapify(self._queue)
         self._dead = 0
 
-    def _peek_live(self) -> Optional[EventHandle]:
-        """Next runnable event, popping any dead ones off the top."""
-        q = self._queue
-        while q:
-            ev = q[0][3]
-            if not ev.cancelled:
-                return ev
-            _heappop(q)
-            self._dead -= 1
-        return None
+    def run(self, max_events: Optional[int] = None) -> None:
+        """Run until the event queue drains or ``max_events`` additional
+        events have been executed.
 
-    def step(self) -> bool:
-        """Execute the single next event.  Returns False if queue is empty."""
-        ev = self._peek_live()
-        if ev is None:
-            return False
-        _heappop(self._queue)
-        t = ev.time
-        if t < self._now:  # pragma: no cover - defensive
-            raise SimulationError("event queue time went backwards")
-        self._now = t
-        self._events_processed += 1
-        fn, args = ev.fn, ev.args
-        ev.fn = None
-        ev.args = ()
-        fn(*args)
-        return True
-
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
-        """Run until the event queue drains, ``until`` is reached, or
-        ``max_events`` additional events have been executed.
-
-        ``until`` is inclusive: events at exactly ``until`` still fire.
-        On exit — whether the queue drained or ``max_events`` stopped the
-        loop — the clock is advanced to ``until`` if and only if no live
-        event remains at or before ``until`` (mirroring how a real machine
-        would sit idle until the deadline; a run stopped mid-stream by
-        ``max_events`` with work still due must *not* jump the clock past
-        that work).
+        A run stopped by ``max_events`` leaves the clock at the last
+        executed event; the next :meth:`run` continues from there, and
+        any slicing of a run is indistinguishable from running it whole.
         """
         if self._running:
             raise SimulationError("Simulator.run is not reentrant")
         self._running = True
-        q = self._queue
-        executed = 0
         try:
-            if self._tracer is not None:
-                executed = self._run_traced(until, max_events)
+            tr = self._tracer
+            if tr is None:
+                self._drain(max_events)
                 return
-            if until is None and max_events is None:
-                # Hot path: drain the queue with no per-event bound checks.
-                while q:
-                    t, _p, _s, ev = _heappop(q)
-                    if ev.cancelled:
-                        self._dead -= 1
-                        continue
-                    self._now = t
-                    fn, args = ev.fn, ev.args
-                    ev.fn = None
-                    ev.args = ()
-                    fn(*args)
-                    executed += 1
-                return
-            while q:
-                t, _p, _s, ev = q[0]
+            # Traced: drain in chunks that end on each cumulative
+            # _TRACE_STRIDE boundary and sample the ``sim`` counters
+            # there.  The final sample is taken only when no live event
+            # remains, so a run sliced by max_events (checkpoint/resume,
+            # preemption) emits the byte-identical record stream of an
+            # uninterrupted run.
+            left = max_events
+            while left is None or left > 0:
+                chunk = _TRACE_STRIDE - self._events_processed % _TRACE_STRIDE
+                if left is not None:
+                    chunk = min(chunk, left)
+                    left -= chunk
+                if self._drain(chunk) < chunk:
+                    break  # queue drained
+                done = self._events_processed
+                if done % _TRACE_STRIDE == 0:
+                    tr.counter(0, "sim", "events_processed", self._now, done)
+                    tr.counter(0, "sim", "pending_events", self._now,
+                               self.pending())
+            if self.pending() == 0:
+                tr.counter(0, "sim", "events_processed", self._now,
+                           self._events_processed)
+        finally:
+            self._running = False
+
+    def _drain(self, max_events: Optional[int]) -> int:
+        """The event loop: pop, skip cancelled entries, run the callback,
+        count the budget down.  Returns the number of events executed.
+
+        ``None`` starts the budget at -1, which never counts down to 0,
+        so an unbounded run pays a truth test per event, not a compare.
+        """
+        q = self._queue
+        budget = left = -1 if max_events is None else max_events
+        try:
+            while q and left:
+                t, _p, _s, ev = _heappop(q)
                 if ev.cancelled:
-                    _heappop(q)
                     self._dead -= 1
                     continue
-                if until is not None and t > until:
-                    break
-                if max_events is not None and executed >= max_events:
-                    break
-                _heappop(q)
                 self._now = t
                 fn, args = ev.fn, ev.args
                 ev.fn = None
                 ev.args = ()
                 fn(*args)
-                executed += 1
-            if until is not None and self._now < until:
-                nxt = self._peek_live()
-                if nxt is None or nxt.time > until:
-                    self._now = until
+                left -= 1
         finally:
-            self._events_processed += executed
-            self._running = False
-
-    def _run_traced(self, until: Optional[float], max_events: Optional[int]) -> int:
-        """The instrumented twin of the :meth:`run` loop.
-
-        Identical event semantics (same ordering, same ``until``
-        clock-advance rule), plus periodic ``sim`` counter samples so a
-        trace shows event-loop pressure over simulated time.  Kept
-        separate so the untraced loop carries zero per-event overhead.
-        """
-        q = self._queue
-        tr = self._tracer
-        stride = self._trace_stride
-        executed = 0
-        while q:
-            t, _p, _s, ev = q[0]
-            if ev.cancelled:
-                _heappop(q)
-                self._dead -= 1
-                continue
-            if until is not None and t > until:
-                break
-            if max_events is not None and executed >= max_events:
-                break
-            _heappop(q)
-            self._now = t
-            fn, args = ev.fn, ev.args
-            ev.fn = None
-            ev.args = ()
-            fn(*args)
-            executed += 1
-            # Stride on the *cumulative* count, and emit the final sample
-            # only when the queue actually drains: a run sliced by
-            # max_events (checkpoint/resume, preemption) must produce the
-            # byte-identical record stream of an uninterrupted run.
-            done = self._events_processed + executed
-            if done % stride == 0:
-                tr.counter(0, "sim", "events_processed", self._now, done)
-                tr.counter(0, "sim", "pending_events", self._now, self.pending())
-        if until is not None and self._now < until:
-            nxt = self._peek_live()
-            if nxt is None or nxt.time > until:
-                self._now = until
-        if self._peek_live() is None:
-            tr.counter(0, "sim", "events_processed", self._now,
-                       self._events_processed + executed)
-        return executed
+            self._events_processed += budget - left
+        return budget - left

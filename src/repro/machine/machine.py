@@ -174,9 +174,10 @@ class Machine:
         self.nodes[msg.dest].dispatch(msg)
 
     # ------------------------------------------------------------------
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
-        """Run the simulation (see :meth:`Simulator.run`)."""
-        self.sim.run(until=until, max_events=max_events)
+    def run(self, max_events: Optional[int] = None) -> None:
+        """Run the simulation until its event queue drains, or for at most
+        ``max_events`` more events (see :meth:`Simulator.run`)."""
+        self.sim.run(max_events)
 
     # ------------------------------------------------------------------
     # instrumentation

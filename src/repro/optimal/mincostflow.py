@@ -45,7 +45,7 @@ class MinCostFlow:
     >>> _ = g.add_edge(1, 2, 1, 1)
     >>> r = g.solve(0, 3)
     >>> (r.flow_value, r.cost)
-    (3, 9)
+    (3, 8)
     """
 
     def __init__(self, num_nodes: int) -> None:

@@ -63,7 +63,8 @@ _ENV_JOBS = "REPRO_JOBS"
 DEFAULT_CELL_TIMEOUT = 3600.0
 
 
-def _timed_worker(req: RunRequest, submitted_at: float):
+def _timed_worker(req: RunRequest, submitted_at: float, preempt: bool,
+                  budget: Optional[float]):
     """Pool target: measure queue wait and execution time *in the worker*.
 
     ``wait_s`` is worker-pickup minus submit on the shared wall clock
@@ -71,20 +72,15 @@ def _timed_worker(req: RunRequest, submitted_at: float):
     processes); ``exec_s`` is the simulation itself on the worker's
     monotonic clock.  Measuring from submit alone — the old behavior —
     conflated pool queueing with execution and inflated every latency
-    percentile under load.
+    percentile under load.  With ``preempt`` the cell runs resumably
+    under the cooperative wall-clock ``budget``.
     """
     wait_s = max(0.0, time.time() - submitted_at)
     t0 = time.perf_counter()
-    metrics = execute_request(req)
-    return metrics, wait_s, time.perf_counter() - t0
-
-
-def _timed_worker_resumable(req: RunRequest, budget: Optional[float],
-                            submitted_at: float):
-    """The preemptable twin of :func:`_timed_worker`."""
-    wait_s = max(0.0, time.time() - submitted_at)
-    t0 = time.perf_counter()
-    metrics = execute_request_resumable(req, budget)
+    if preempt:
+        metrics = execute_request_resumable(req, budget)
+    else:
+        metrics = execute_request(req)
     return metrics, wait_s, time.perf_counter() - t0
 
 
@@ -428,17 +424,11 @@ def _run_pool(
     pool = ProcessPoolExecutor(max_workers=njobs)
     t0 = time.monotonic()
     try:
-        if preempt:
-            futures = [
-                (i, req,
-                 pool.submit(_timed_worker_resumable, req, timeout, time.time()))
-                for i, req in pending
-            ]
-        else:
-            futures = [
-                (i, req, pool.submit(_timed_worker, req, time.time()))
-                for i, req in pending
-            ]
+        futures = [
+            (i, req,
+             pool.submit(_timed_worker, req, time.time(), preempt, timeout))
+            for i, req in pending
+        ]
         broken = False
         for i, req, fut in futures:
             if broken:

@@ -525,8 +525,7 @@ class SessionManager:
         self.started = time.monotonic()
         #: the unified metrics registry (see repro.obs.metrics): every
         #: health/admission counter below lives here, and GET /v1/metrics
-        #: serves its snapshot.  The legacy attribute names (``submitted``,
-        #: ``rejected_quota``, ...) remain as read-only properties.
+        #: serves its snapshot.
         self.metrics = MetricsRegistry()
         counter = self.metrics.counter
         self._c_submitted = counter("service.submitted")
@@ -549,43 +548,6 @@ class SessionManager:
         self._h_wait = self.metrics.histogram("service.session_wait_s")
         self._h_exec = self.metrics.histogram("service.session_exec_s")
         self.last_recovery: Optional[dict] = None
-
-    # legacy counter names, now registry-backed (read-only)
-    @property
-    def submitted(self) -> int:
-        return self._c_submitted.value
-
-    @property
-    def rejected_quota(self) -> int:
-        return self._c_rejected_quota.value
-
-    @property
-    def rejected_admission(self) -> int:
-        return self._c_rejected_admission.value
-
-    @property
-    def shed_health(self) -> int:
-        return self._c_shed_health.value
-
-    @property
-    def coalesced_hits(self) -> int:
-        return self._c_coalesced.value
-
-    @property
-    def cache_hits(self) -> int:
-        return self._c_cache_hits.value
-
-    @property
-    def slice_failures(self) -> int:
-        return self._c_slice_failures.value
-
-    @property
-    def slice_timeouts(self) -> int:
-        return self._c_slice_timeouts.value
-
-    @property
-    def recovered_sessions(self) -> int:
-        return self._c_recovered.value
 
     # ------------------------------------------------------------------
     # admission helpers
@@ -634,6 +596,32 @@ class SessionManager:
                 if self.journal is not None:
                     self.journal.forget(rec.id)
 
+    def _register(self, rec: SessionRecord,
+                  entry: Optional[dict] = None) -> None:
+        """Add a record and journal it.  A record not yet in
+        :attr:`records` is new, so its journal opens with the admission;
+        ``entry`` is then appended."""
+        if rec.id not in self.records:
+            self.records[rec.id] = rec
+            if self.journal is not None:
+                self.journal.admit(rec.id, rec.tenant, rec.request.to_wire(),
+                                   _admission_n(rec.id), parent=rec.parent)
+        if entry is not None and self.journal is not None:
+            self.journal.record(rec.id, entry)
+
+    def _launch(self, rec: SessionRecord, entry: Optional[dict] = None,
+                resume: bool = False) -> SessionRecord:
+        """The one way an admitted record starts running (submit, fork,
+        resume, recovery): register and journal it (see
+        :meth:`_register`), make it the coalescing target for its
+        request, and spawn its run — from its checkpoint when
+        ``resume``."""
+        self._register(rec, entry)
+        self._by_hash[rec.request.content_hash()] = rec.id
+        rec.task = asyncio.get_running_loop().create_task(
+            self._run_record(rec, resume))
+        return rec
+
     # ------------------------------------------------------------------
     # submit / status
     # ------------------------------------------------------------------
@@ -673,26 +661,15 @@ class SessionManager:
                 rec.state = "done"
                 rec.metrics = hit
                 rec.from_cache = True
-                self.records[rec.id] = rec
-                if self.journal is not None:
-                    self.journal.admit(rec.id, tenant, request.to_wire(),
-                                       _admission_n(rec.id))
-                    self.journal.record(rec.id, {
-                        "kind": "state", "state": "done", "seq": rec.seq,
-                        "metrics": metrics_to_wire(hit), "from_cache": True})
+                self._register(rec, {
+                    "kind": "state", "state": "done", "seq": rec.seq,
+                    "metrics": metrics_to_wire(hit), "from_cache": True})
                 self._gc_done()
                 return rec
 
         self._admit()
-        rec = self._make_record(id=self._new_id(), tenant=tenant,
-                                request=request)
-        self.records[rec.id] = rec
-        self._by_hash[content] = rec.id
-        if self.journal is not None:
-            self.journal.admit(rec.id, tenant, request.to_wire(),
-                               _admission_n(rec.id))
-        rec.task = asyncio.get_running_loop().create_task(
-            self._run_record(rec))
+        rec = self._launch(self._make_record(
+            id=self._new_id(), tenant=tenant, request=request))
         self._gc_done()
         return rec
 
@@ -719,16 +696,16 @@ class SessionManager:
             "queued": self._queued,
             "max_inflight": self.config.max_inflight,
             "queue_depth": self.config.queue_depth,
-            "submitted": self.submitted,
-            "coalesced": self.coalesced_hits,
-            "cache_hits": self.cache_hits,
-            "rejected_quota": self.rejected_quota,
-            "rejected_admission": self.rejected_admission,
-            "shed_health": self.shed_health,
+            "submitted": self._c_submitted.value,
+            "coalesced": self._c_coalesced.value,
+            "cache_hits": self._c_cache_hits.value,
+            "rejected_quota": self._c_rejected_quota.value,
+            "rejected_admission": self._c_rejected_admission.value,
+            "shed_health": self._c_shed_health.value,
             "health": self.health.state,
-            "slice_failures": self.slice_failures,
-            "slice_timeouts": self.slice_timeouts,
-            "recovered": self.recovered_sessions,
+            "slice_failures": self._c_slice_failures.value,
+            "slice_timeouts": self._c_slice_timeouts.value,
+            "recovered": self._c_recovered.value,
             "journal": {
                 "enabled": self.journal is not None,
                 "sessions": len(self.journal) if self.journal else 0,
@@ -842,7 +819,6 @@ class SessionManager:
         if self.journal is None:
             self.last_recovery = summary
             return summary
-        loop = asyncio.get_running_loop()
         max_n = 0
         for doc in self.journal.load_all():
             sid = doc["id"]
@@ -863,18 +839,18 @@ class SessionManager:
             # anything a pre-crash subscriber may have seen
             rec.seq = SessionJournal.last_seq(doc) + 1
             rec.checkpoint_key = SessionJournal.last_checkpoint(doc)
+            # registered before launch: its journal is already open
+            self.records[sid] = rec
             terminal = SessionJournal.terminal(doc)
             if terminal is not None:
                 rec.state = terminal["state"]
                 rec.metrics = terminal.get("metrics")
                 rec.error = terminal.get("error")
                 rec.from_cache = bool(terminal.get("from_cache"))
-                self.records[sid] = rec
                 summary["terminal"] += 1
                 continue
             if SessionJournal.last_state(doc) == "paused":
                 rec.state = "paused"
-                self.records[sid] = rec
                 summary["paused"] += 1
                 continue
             # interrupted mid-flight: resume from the checkpoint if its
@@ -886,11 +862,8 @@ class SessionManager:
                 is not None)
             if not resume:
                 rec.checkpoint_key = ""
-            self.records[sid] = rec
-            self._by_hash[request.content_hash()] = sid
-            self.journal.record(sid, {"kind": "recovered", "resume": resume,
-                                      "seq": rec.seq})
-            rec.task = loop.create_task(self._run_record(rec, resume=resume))
+            self._launch(rec, {"kind": "recovered", "resume": resume,
+                               "seq": rec.seq}, resume=resume)
             self._c_recovered.inc()
             summary["resumed" if resume else "restarted"] += 1
         self._next_seq = max(self._next_seq, max_n + 1)
@@ -921,10 +894,7 @@ class SessionManager:
         rec.pause_requested = False
         rec.health_paused = False
         rec.transition("queued")
-        self._by_hash[rec.request.content_hash()] = rec.id
-        rec.task = asyncio.get_running_loop().create_task(
-            self._run_record(rec, resume=True))
-        return rec
+        return self._launch(rec, resume=True)
 
     def fork(self, session_id: str, tenant: Optional[str] = None) -> SessionRecord:
         """A new session continuing from a paused session's checkpoint."""
@@ -938,15 +908,9 @@ class SessionManager:
             id=self._new_id(), tenant=tenant, request=parent.request,
             parent=parent.id)
         child.checkpoint_key = parent.checkpoint_key
-        self.records[child.id] = child
-        if self.journal is not None:
-            self.journal.admit(child.id, tenant, parent.request.to_wire(),
-                               _admission_n(child.id), parent=parent.id)
-            self.journal.record(child.id, {
-                "kind": "checkpoint", "checkpoint": child.checkpoint_key,
-                "seq": child.seq})
-        child.task = asyncio.get_running_loop().create_task(
-            self._run_record(child, resume=True))
+        self._launch(child, {"kind": "checkpoint",
+                             "checkpoint": child.checkpoint_key,
+                             "seq": child.seq}, resume=True)
         self._gc_done()
         return child
 
@@ -1002,15 +966,20 @@ class SessionManager:
     # ------------------------------------------------------------------
     async def _run_record(self, rec: SessionRecord, resume: bool = False) -> None:
         loop = asyncio.get_running_loop()
-        self._queued += 1
         try:
-            async with self._sem:
+            # counted as queued only while waiting for a slot, so a
+            # cancel during the wait un-counts it too
+            self._queued += 1
+            try:
+                await self._sem.acquire()
+            finally:
                 self._queued -= 1
-                self._running += 1
-                try:
-                    await self._drive(rec, loop, resume)
-                finally:
-                    self._running -= 1
+            self._running += 1
+            try:
+                await self._drive(rec, loop, resume)
+            finally:
+                self._running -= 1
+                self._sem.release()
         except asyncio.CancelledError:
             if rec.state in _ACTIVE:
                 rec.transition("cancelled")
@@ -1029,35 +998,16 @@ class SessionManager:
                 self._by_hash.pop(rec.request.content_hash(), None)
 
     async def _drive(self, rec: SessionRecord, loop, resume: bool) -> None:
-        from repro.session import Session
-
         if rec.cancel_requested:
             rec.transition("cancelled")
             return
+        rec.session = await self._load_session(rec, loop, strict=resume)
         if rec.pause_requested and not resume:
-            # paused before it ever ran: nothing to checkpoint yet —
-            # build the session, checkpoint the prepared state, park it.
-            rec.session = await loop.run_in_executor(
-                self._pool, lambda: self._build_session(rec))
+            # paused before it ever ran: checkpoint the prepared state
+            # and park it
             await self._checkpoint(rec, loop)
             rec.transition("paused")
             return
-
-        if resume:
-            data = self.store.get(_SESSIONS_NS, rec.checkpoint_key)
-            if data is None:
-                raise SnapshotError(
-                    f"session checkpoint {rec.checkpoint_key!r} has vanished "
-                    f"from the store")
-            rec.restored = True
-            rec.session = await loop.run_in_executor(
-                self._pool,
-                lambda: Session.restore(Snapshot.from_bytes(
-                    data, source=f"sessions/{rec.checkpoint_key}")),
-            )
-        else:
-            rec.session = await loop.run_in_executor(
-                self._pool, lambda: self._build_session(rec))
 
         # queue wait: admission (record creation) → first slice start
         self._h_wait.observe(max(0.0, time.monotonic() - rec.created))
@@ -1104,7 +1054,7 @@ class SessionManager:
             if (self.journal is not None
                     and self.config.checkpoint_every_slices > 0
                     and rec.slices % self.config.checkpoint_every_slices == 0):
-                await self._auto_checkpoint(rec, loop)
+                await self._checkpoint(rec, loop, auto=True)
 
     def _note_membership(self, metrics) -> None:
         """Roll a finished run's membership epoch log into the registry.
@@ -1185,7 +1135,8 @@ class SessionManager:
             failure["attempts"] = attempts
             if attempt + 1 >= attempts:
                 break
-            rec.session = await self._rebuild(rec, loop)
+            rec._trace_cursor = 0
+            rec.session = await self._load_session(rec, loop, strict=False)
             delay = policy.delay(attempt, rng)
             rec.publish({"type": "retry", "state": rec.state,
                          "attempt": attempt + 1, "error": dict(failure),
@@ -1194,26 +1145,38 @@ class SessionManager:
                 await asyncio.sleep(delay)
         raise SliceFailure(failure)
 
-    async def _rebuild(self, rec: SessionRecord, loop):
-        """A clean session for a retry: last checkpoint, else scratch."""
+    async def _load_session(self, rec: SessionRecord, loop, strict: bool):
+        """The record's :class:`~repro.session.Session`: restored from its
+        checkpoint (marking the record ``restored``), or built from
+        scratch when it has none.
+
+        ``strict`` (resume, fork, recovery from a checkpoint): a vanished
+        or corrupt blob raises :class:`SnapshotError` naming the key.
+        Otherwise (a supervision retry) the session falls back to
+        scratch, quarantining a corrupt blob first.
+        """
         from repro.session import Session
 
-        rec._trace_cursor = 0
-        data = (self.store.get(_SESSIONS_NS, rec.checkpoint_key)
-                if rec.checkpoint_key else None)
+        key = rec.checkpoint_key
+        data = self.store.get(_SESSIONS_NS, key) if key else None
+        snap = None
         if data is not None:
-            key = rec.checkpoint_key
             try:
                 snap = Snapshot.from_bytes(data, source=f"sessions/{key}")
             except Exception:  # noqa: BLE001 - corrupt checkpoint
+                if strict:
+                    raise
                 self.store.quarantine(_SESSIONS_NS, key)
                 rec.checkpoint_key = ""
-            else:
-                rec.restored = True
-                return await loop.run_in_executor(
-                    self._pool, lambda: Session.restore(snap))
+        elif strict:
+            raise SnapshotError(
+                f"session checkpoint {key!r} has vanished from the store")
+        if snap is None:
+            return await loop.run_in_executor(
+                self._pool, lambda: self._build_session(rec))
+        rec.restored = True
         return await loop.run_in_executor(
-            self._pool, lambda: self._build_session(rec))
+            self._pool, lambda: Session.restore(snap))
 
     # ------------------------------------------------------------------
     def _build_session(self, rec: SessionRecord):
@@ -1228,39 +1191,31 @@ class SessionManager:
             sess.tracer = Tracer(max_records=self.config.trace_max_records)
         return sess
 
-    async def _checkpoint(self, rec: SessionRecord, loop) -> None:
-        key = f"{rec.id}-{rec.slices:04d}"
-        snap = await loop.run_in_executor(
-            self._pool,
-            lambda: rec.session.checkpoint(
-                {"service_session": rec.id, "tenant": rec.tenant}),
-        )
-        self.store.put(_SESSIONS_NS, key, snap.to_bytes())
-        old = rec.checkpoint_key
-        rec.checkpoint_key = key
-        if old and "-auto-" in old:
-            self.store.delete(_SESSIONS_NS, old)
-        if self.journal is not None:
-            self.journal.record(rec.id, {
-                "kind": "checkpoint", "checkpoint": key,
-                "slices": rec.slices, "events": rec.events_processed,
-                "seq": rec.seq})
+    async def _checkpoint(self, rec: SessionRecord, loop,
+                          auto: bool = False) -> None:
+        """Checkpoint the session into the store and journal it.
 
-    async def _auto_checkpoint(self, rec: SessionRecord, loop) -> None:
-        """Periodic crash-recovery checkpoint (best-effort: a failed
-        write costs recovery granularity, never the running session)."""
-        key = f"{rec.id}-auto-{rec.slices:04d}"
+        Pause checkpoints (``<id>-<slices>``) are fork points: a failed
+        write fails the session.  Auto-checkpoints
+        (``<id>-auto-<slices>``, ``auto`` in meta and journal) are
+        periodic crash-recovery scaffolding: a failed write costs
+        recovery granularity, never the running session.  Either kind
+        supersedes (and deletes) a previous auto-checkpoint.
+        """
+        tag = {"auto": True} if auto else {}
+        key = f"{rec.id}-{'auto-' if auto else ''}{rec.slices:04d}"
         try:
             snap = await loop.run_in_executor(
                 self._pool,
                 lambda: rec.session.checkpoint(
-                    {"service_session": rec.id, "tenant": rec.tenant,
-                     "auto": True}),
+                    {"service_session": rec.id, "tenant": rec.tenant, **tag}),
             )
             self.store.put(_SESSIONS_NS, key, snap.to_bytes())
         except asyncio.CancelledError:
             raise
         except Exception:  # noqa: BLE001 - degrade, don't kill the run
+            if not auto:
+                raise
             self.health.note_journal_failure()
             return
         old = rec.checkpoint_key
@@ -1269,7 +1224,7 @@ class SessionManager:
             self.store.delete(_SESSIONS_NS, old)
         if self.journal is not None:
             self.journal.record(rec.id, {
-                "kind": "checkpoint", "checkpoint": key, "auto": True,
+                "kind": "checkpoint", "checkpoint": key, **tag,
                 "slices": rec.slices, "events": rec.events_processed,
                 "seq": rec.seq})
 

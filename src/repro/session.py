@@ -9,8 +9,8 @@ fixed order, and every entry point — the CLI ``run``/``trace``/
 the runner's ``kind="sim"`` cells — builds its run through it.
 
 >>> from repro.session import Session
->>> Session("queens-10", strategy="RIPS", num_nodes=8).run().efficiency
-0.9...
+>>> round(Session("queens-10", strategy="RIPS", num_nodes=8).run().efficiency, 3)
+0.504
 
 A session moves through three stages:
 
@@ -254,21 +254,18 @@ class Session:
     # ------------------------------------------------------------------
     # running
     # ------------------------------------------------------------------
-    def run(
-        self,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-    ) -> Optional[RunMetrics]:
+    def run(self, max_events: Optional[int] = None) -> Optional[RunMetrics]:
         """Run (or resume) the session.
 
-        Without limits, runs to completion and returns the
-        :class:`RunMetrics`.  With ``until``/``max_events``, runs one
-        slice: returns the metrics if the workload completed inside the
-        slice, else ``None`` (checkpoint and call :meth:`run` again).
+        Without a budget, runs to completion and returns the
+        :class:`RunMetrics`.  With ``max_events``, runs one slice of at
+        most that many events: returns the metrics if the workload
+        completed inside the slice, else ``None`` (checkpoint and call
+        :meth:`run` again).
         """
         self._wire()
         self._driver.start_once()
-        self._machine.run(until=until, max_events=max_events)
+        self._machine.run(max_events)
         if self._machine.sim.pending() > 0:
             return None  # stopped by the slice limit, more work queued
         metrics = self._driver.finish()

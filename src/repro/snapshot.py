@@ -199,7 +199,7 @@ def capture(machine: "Machine", meta: Optional[dict] = None) -> Snapshot:
     if machine.sim._running:
         raise SnapshotError(
             "cannot checkpoint while the simulator is mid-event; "
-            "stop the run (until=/max_events=) first"
+            "stop the run (max_events=) first"
         )
     meta = dict(meta or {})
     note = meta.pop("note", False)

@@ -77,12 +77,17 @@ def test_components_and_reachability_track_the_schedule():
     inj.on_membership_changed(lambda kind: events.append(kind))
 
     assert inj.components() == [list(range(16))]
-    machine.run(until=0.003)  # mid-cut
-    assert inj.components() == [list(range(8)), list(range(8, 16))]
-    assert inj.cross_partition(0, 15)
-    assert not inj.cross_partition(0, 7)
-    assert not inj.reachable(3, 12)
+    seen = {}
+
+    def probe():  # mid-cut
+        seen["components"] = inj.components()
+        seen["cross"] = (inj.cross_partition(0, 15), inj.cross_partition(0, 7))
+        seen["reachable"] = inj.reachable(3, 12)
+
+    machine.sim.schedule_at(0.003, probe)
     machine.run()  # past the heal
+    assert seen == {"components": [list(range(8)), list(range(8, 16))],
+                    "cross": (True, False), "reachable": False}
     assert inj.components() == [list(range(16))]
     assert inj.reachable(3, 12)
     assert events == ["partition", "heal"]

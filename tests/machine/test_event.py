@@ -82,18 +82,6 @@ def test_events_scheduled_during_execution():
     assert sim.now == 3.0
 
 
-def test_run_until_is_inclusive_and_advances_clock():
-    sim = Simulator()
-    out = []
-    sim.schedule(1.0, out.append, "a")
-    sim.schedule(2.0, out.append, "b")
-    sim.run(until=1.0)
-    assert out == ["a"] and sim.now == 1.0
-    sim.run(until=10.0)
-    assert out == ["a", "b"]
-    assert sim.now == 10.0  # clock advances to the horizon
-
-
 def test_run_max_events():
     sim = Simulator()
     out = []
@@ -105,12 +93,30 @@ def test_run_max_events():
     assert out == [0, 1, 2, 3, 4]
 
 
-def test_step_returns_false_when_empty():
+class _CounterLog:
+    enabled = True
+
+    def __init__(self):
+        self.samples = []
+
+    def counter(self, node, cat, name, t, value):
+        self.samples.append((name, t, value))
+
+
+@pytest.mark.parametrize("budget", [None, 1, 255, 256, 257, 1000])
+def test_traced_run_samples_every_256_events_however_sliced(budget):
     sim = Simulator()
-    assert sim.step() is False
-    sim.schedule(1.0, lambda: None)
-    assert sim.step() is True
-    assert sim.step() is False
+    log = _CounterLog()
+    sim.attach_tracer(log)
+    for i in range(600):
+        sim.schedule(float(i + 1), lambda: None)
+    while sim.pending():
+        sim.run(max_events=budget)
+    assert log.samples == [
+        ("events_processed", 256.0, 256), ("pending_events", 256.0, 344),
+        ("events_processed", 512.0, 512), ("pending_events", 512.0, 88),
+        ("events_processed", 600.0, 600),
+    ]
 
 
 def test_pending_counts_live_events():

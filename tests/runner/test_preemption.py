@@ -43,17 +43,20 @@ def test_preempts_then_resumes_bit_identically(tmp_path):
     assert not ckpt.exists()  # finished cells clean up their state
 
 
-def test_traced_preemption_keeps_records_identical(tmp_path):
-    """The slice boundaries must leave no fingerprint in the trace."""
+@pytest.mark.parametrize("slice_events", [1, 255, 256, 257, 1000])
+def test_traced_preemption_keeps_records_identical(tmp_path, slice_events):
+    """The slice boundaries must leave no fingerprint in the trace —
+    including slices that end just before, on, and just after the
+    tracer's 256-event counter-sample boundary."""
     req = RunRequest("queens-10", "RIPS", num_nodes=8, scale="small",
                      trace=True)
     ref = execute_request(req)
     ckpt = tmp_path / "cell.ckpt"
     with pytest.raises(CellPreempted):
         execute_request_resumable(
-            req, budget=0.0, checkpoint_path=ckpt, slice_events=1000)
+            req, budget=0.0, checkpoint_path=ckpt, slice_events=slice_events)
     got = execute_request_resumable(req, checkpoint_path=ckpt,
-                                    slice_events=1000)
+                                    slice_events=slice_events)
     assert got.extra["trace_records"] == ref.extra["trace_records"]
     assert got == ref
 

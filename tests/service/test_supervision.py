@@ -55,7 +55,7 @@ def test_hung_slice_times_out_and_retries_to_completion(tmp_path):
         final = client.wait(doc["id"], timeout=60)
         assert fired["hang"]
         assert final["state"] == "done"
-        assert bg.server.manager.slice_timeouts >= 1
+        assert bg.server.manager.metrics.value("service.slice_timeouts") >= 1
         # the retried run is bit-identical to a fault-free direct run
         assert json.dumps(final["metrics"], sort_keys=True) == _direct(req)
 
