@@ -21,7 +21,7 @@ Commands
     List the available workload keys at the chosen scale.
 ``cache``
     Inspect or clear the on-disk caches: per-namespace blob-store
-    totals (results, snapshots, checkpoints, sessions) plus cached
+    totals (results, checkpoints, sessions) plus cached
     workload traces; ``clear --namespace X`` drops one namespace.
 ``serve``
     HTTP/WebSocket scheduling service on the Session API: submit wire-
@@ -31,14 +31,13 @@ Commands
     Event-loop microbenchmark; writes ``BENCH_events_per_sec.json``.
     ``--check`` compares against the committed baseline instead (exit 1
     on a >10% regression), gates checkpoint overhead on the chain
-    shape, and never rewrites the baseline.  ``--warm-start`` times a
-    cold vs warm-started Table-I grid -> ``BENCH_warm_start.json``.
+    shape, and never rewrites the baseline.
 ``loadtest``
     Closed-loop capacity harness: drive N concurrent sessions (workload
     x strategy mix, closed- or open-loop arrival, seeded)
     through the in-process runner and/or a live ``serve`` instance;
     report p50/p90/p99 cell latency, queue wait, 429/503 counts,
-    result/snapshot cache hit rates, events/sec under contention, and
+    result-cache hit rate, events/sec under contention, and
     the span-tree attribution rollup.  Writes ``BENCH_loadtest.json``;
     ``--check`` gates against it like ``bench --check``; ``--smoke``
     runs a small campaign against BOTH targets and exits nonzero unless
@@ -64,10 +63,8 @@ Shared flags come from parent parsers: every experiment command accepts
 ``--scale {small,paper}`` (default: ``$REPRO_SCALE`` or ``small``), and
 grid commands (``table1``-``table3``, ``fig4``, ``fig5``,
 ``topologies``) accept ``--jobs N`` (default ``$REPRO_JOBS`` or serial;
-0 = one worker per CPU), ``--no-cache``, ``--warm-start`` (simulate
-each shared grid prefix once, fork cells from its snapshot), and
-``--preempt`` (timed-out cells checkpoint and resume instead of
-restarting).
+0 = one worker per CPU), ``--no-cache``, and ``--preempt`` (timed-out
+cells checkpoint and resume instead of restarting).
 """
 
 from __future__ import annotations
@@ -114,7 +111,6 @@ def _run_grid(reqs, args):
 
     report = run_requests_report(
         reqs, jobs=args.jobs, cache=args.cache,
-        warm_start=getattr(args, "warm_start", False),
         preempt=getattr(args, "preempt", False))
     print(report.summary(), file=sys.stderr)
     return report
@@ -164,11 +160,6 @@ def _grid_parent() -> argparse.ArgumentParser:
                    default=True,
                    help="re-simulate every cell instead of reusing the "
                         "on-disk result cache")
-    p.add_argument("--warm-start", dest="warm_start", action="store_true",
-                   default=False,
-                   help="materialize each shared grid prefix (workload trace "
-                        "+ machine) once and fork cells from its snapshot; "
-                        "results are bit-identical to a cold run")
     p.add_argument("--preempt", action="store_true", default=False,
                    help="cells that hit the per-cell timeout checkpoint and "
                         "resume on the retry pass instead of restarting")
@@ -270,10 +261,7 @@ def _cmd_cache(args) -> int:
                  "entries": ts["entries"], "bytes": ts["bytes"],
                  "version": ts["format_version"]})
     if args.json:
-        from repro.runner.prefix import cache_counters
-
-        _print_report("cache.stats", {"caches": rows,
-                                      "snapshot_prefix": cache_counters()})
+        _print_report("cache.stats", {"caches": rows})
     else:
         print(format_table(rows, title="On-disk caches"))
     return 0
@@ -328,20 +316,8 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    from repro.runner.bench import check_bench, emit_bench, emit_warm_start_bench
+    from repro.runner.bench import check_bench, emit_bench
 
-    if args.warm_start:
-        report = emit_warm_start_bench(path=args.out)
-        grid = report["grid"]
-        if args.json:
-            _print_report("bench.warm_start", report)
-            return 0 if report["identical"] else 1
-        print(f"warm-start sweep: {grid['cells']} cells / "
-              f"{grid['prefixes']} prefixes, "
-              f"cold {report['cold_seconds']}s -> warm "
-              f"{report['warm_seconds']}s ({report['speedup']}x), "
-              f"results identical: {report['identical']}")
-        return 0 if report["identical"] else 1
     if args.check:
         result = check_bench(path=args.out, events=args.events, reps=args.reps)
         if args.json:
@@ -818,8 +794,7 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("cache", help="inspect or clear the on-disk caches")
     p.add_argument("action", choices=("stats", "clear"))
     p.add_argument("--namespace", default=None,
-                   choices=("results", "snapshots", "checkpoints",
-                            "sessions", "traces"),
+                   choices=("results", "checkpoints", "sessions", "traces"),
                    help="on clear: drop only this blob-store namespace "
                         "(default: all except traces)")
     p.add_argument("--traces", action="store_true",
@@ -904,9 +879,6 @@ def main(argv: list[str] | None = None) -> int:
                    help="compare against the baseline instead of rewriting it "
                         "(exit 1 on a >10%% regression) and gate checkpoint "
                         "overhead on the chain shape (<5%% when unused)")
-    p.add_argument("--warm-start", dest="warm_start", action="store_true",
-                   help="instead: cold vs warm-started Table-I small grid "
-                        "-> BENCH_warm_start.json (exit 1 if results differ)")
     p.add_argument("--json", action="store_true",
                    help="repro.report/1 envelope on stdout instead of the "
                         "human summary")

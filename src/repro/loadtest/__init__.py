@@ -10,7 +10,7 @@ ProcessPool or a live ``repro serve`` instance, and reports:
 * p50/p90/p99 cell latency and queue wait (honestly split — see the
   executor's ``wait_s``/``exec_s``),
 * admission/shed/429/503 counts (service target),
-* result-cache and snapshot-cache hit rates,
+* result-cache hit rate,
 * aggregate events/sec under contention,
 * per-subsystem time attribution from a traced sentinel run
   (:mod:`repro.obs.attribution`), and

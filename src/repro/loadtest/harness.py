@@ -3,9 +3,9 @@
 Two drivers share one schedule builder:
 
 * **runner** — cells run in a dedicated ``ProcessPoolExecutor`` with
-  ``concurrency`` workers, a loadtest-private result cache, and (when
-  ``warm_start``) a prewarmed snapshot cache, so hit rates reflect this
-  run's mix rather than whatever ``.result_cache/`` accumulated;
+  ``concurrency`` workers and a loadtest-private result cache, so hit
+  rates reflect this run's mix rather than whatever ``.result_cache/``
+  accumulated;
 * **service** — cells are submitted to a live ``repro serve`` instance
   (booted in-process on a free port, or an external ``--url``) by
   ``concurrency`` client threads that retry 429/503 with the server's
@@ -54,13 +54,11 @@ class LoadtestConfig:
     strategies: tuple = ("RIPS", "RID")
     num_nodes: int = 16
     scale: str = "small"
-    #: workload seed each cell runs with (one value keeps the snapshot
-    #: prefix shared across the strategy mix)
+    #: workload seed each cell runs with (one value keeps every cell of a
+    #: workload on the same cached trace across the strategy mix)
     workload_seed: int = 7
     #: harness seed: arrival jitter, nothing else — the mix is round-robin
     seed: int = 0
-    #: prewarm + share the prepared-machine snapshot across cells
-    warm_start: bool = True
     #: per-cell / per-session wall-clock budget, seconds
     timeout: float = 300.0
     #: run one traced sentinel cell for subsystem attribution
@@ -182,7 +180,6 @@ def _cell_worker(req: RunRequest, submitted_at: float, cache_root: str) -> dict:
     (queue wait under contention — the thing a closed loop saturates);
     ``exec_s`` is the in-worker execution on the monotonic clock.
     """
-    from repro.runner import prefix as prefix_mod
     from repro.session import Session
 
     wait_s = max(0.0, time.time() - submitted_at)
@@ -193,67 +190,49 @@ def _cell_worker(req: RunRequest, submitted_at: float, cache_root: str) -> dict:
         return {
             "ok": True, "wait_s": wait_s,
             "exec_s": time.perf_counter() - t0,
-            "cache_hit": True, "snapshot_hits": 0, "events": 0,
+            "cache_hit": True, "events": 0,
             "T": hit.T,
         }
-    snap_before = prefix_mod.cache_counters()["restores"]
     sess = Session.from_request(req)
     metrics = sess.run()
     events, _now = sess.progress()
-    snap_hits = prefix_mod.cache_counters()["restores"] - snap_before
     cache.put(req, metrics)
     return {
         "ok": True, "wait_s": wait_s, "exec_s": time.perf_counter() - t0,
-        "cache_hit": False, "snapshot_hits": snap_hits, "events": events,
+        "cache_hit": False, "events": events,
         "T": metrics.T,
     }
 
 
 def _drive_runner(config: LoadtestConfig,
                   schedule: list[ScheduledCell]) -> dict:
-    from repro.runner import prefix as prefix_mod
-
     with tempfile.TemporaryDirectory(prefix="repro-loadtest-",
                                      ignore_cleanup_errors=True) as tmp:
         cache_root = os.path.join(tmp, "results")
-        snap_root = os.path.join(tmp, "snapshots")
-        saved = {k: os.environ.get(k) for k in
-                 (prefix_mod.ENV_WARM_START, prefix_mod.ENV_SNAPSHOT_DIR)}
+        pool = ProcessPoolExecutor(max_workers=config.concurrency)
+        rows: list = [None] * len(schedule)
+        started = time.perf_counter()
+        wall0 = time.time()
         try:
-            if config.warm_start:
-                prefix_mod.set_warm_start(True, cache_dir=snap_root)
-                prefix_mod.prewarm_requests([c.request for c in schedule])
-            # env is inherited by pool workers at fork time — the pool
-            # must be created *after* the warm-start env is in place
-            pool = ProcessPoolExecutor(max_workers=config.concurrency)
-            rows: list = [None] * len(schedule)
-            started = time.perf_counter()
-            wall0 = time.time()
-            try:
-                futures = []
-                for cell in schedule:
-                    if config.arrival == "open":
-                        due = wall0 + cell.offset_s
-                        delay = due - time.time()
-                        if delay > 0:
-                            time.sleep(delay)
-                        offered = due
-                    else:
-                        offered = time.time()
-                    futures.append((cell.index, pool.submit(
-                        _cell_worker, cell.request, offered, cache_root)))
-                for i, fut in futures:
-                    rows[i] = fut.result(timeout=config.timeout)
-                elapsed = time.perf_counter() - started
-                pool.shutdown(wait=True)
-            except BaseException:
-                pool.shutdown(wait=False, cancel_futures=True)
-                raise
-        finally:
-            prefix_mod.set_warm_start(False)
-            for key, val in saved.items():
-                if val is not None:
-                    os.environ[key] = val
+            futures = []
+            for cell in schedule:
+                if config.arrival == "open":
+                    due = wall0 + cell.offset_s
+                    delay = due - time.time()
+                    if delay > 0:
+                        time.sleep(delay)
+                    offered = due
+                else:
+                    offered = time.time()
+                futures.append((cell.index, pool.submit(
+                    _cell_worker, cell.request, offered, cache_root)))
+            for i, fut in futures:
+                rows[i] = fut.result(timeout=config.timeout)
+            elapsed = time.perf_counter() - started
+            pool.shutdown(wait=True)
+        except BaseException:
+            pool.shutdown(wait=False, cancel_futures=True)
+            raise
     return _fold_rows(config, rows, elapsed, target="runner")
 
 
@@ -279,29 +258,26 @@ def _service_cell(client, req: RunRequest, offered: float,
                 return {"ok": False, "error": str(exc),
                         "wait_s": max(0.0, time.time() - offered),
                         "exec_s": time.perf_counter() - t0,
-                        "cache_hit": False, "snapshot_hits": 0,
-                        "events": 0, **rejects}
+                        "cache_hit": False, "events": 0, **rejects}
             time.sleep(min(1.0, exc.retry_after or 0.05))
             continue
         except (SessionFailed, TimeoutError) as exc:
             return {"ok": False, "error": str(exc),
                     "wait_s": max(0.0, time.time() - offered),
                     "exec_s": time.perf_counter() - t0,
-                    "cache_hit": False, "snapshot_hits": 0,
-                    "events": 0, **rejects}
+                    "cache_hit": False, "events": 0, **rejects}
         return {
             "ok": True,
             "wait_s": max(0.0, time.time() - offered),
             "exec_s": time.perf_counter() - t0,
             "cache_hit": bool(doc.get("from_cache")),
-            "snapshot_hits": 0,
             "events": int(doc.get("events_processed") or 0),
             **rejects,
         }
     return {"ok": False, "error": "rejected too many times",
             "wait_s": max(0.0, time.time() - offered),
             "exec_s": time.perf_counter() - t0,
-            "cache_hit": False, "snapshot_hits": 0, "events": 0, **rejects}
+            "cache_hit": False, "events": 0, **rejects}
 
 
 def _drive_service(config: LoadtestConfig, schedule: list[ScheduledCell],
@@ -376,7 +352,6 @@ def _fold_rows(config: LoadtestConfig, rows: list, elapsed: float,
             "result_hits": cache_hits,
             "result_hit_rate":
                 cache_hits / len(ok_rows) if ok_rows else 0.0,
-            "snapshot_hits": sum(r["snapshot_hits"] for r in ok_rows),
         },
         "errors": {
             "r429": sum(r.get("r429", 0) for r in rows if r),

@@ -211,7 +211,6 @@ def format_loadtest(report: dict) -> str:
             "wait p99": f"{wait.get('p99', 0):.3f}",
             "ev/s": f"{out['events_per_sec']:,.0f}",
             "hits": out["cache"]["result_hits"],
-            "snap": out["cache"]["snapshot_hits"],
             "429": out["errors"]["r429"],
             "503": out["errors"]["r503"],
         })

@@ -18,10 +18,8 @@ machine, so the file itself documents the speedup of the current kernel.
 from __future__ import annotations
 
 import json
-import os
 import platform
 import sys
-import tempfile
 import time
 from pathlib import Path
 from typing import Optional
@@ -31,14 +29,11 @@ from repro.machine.event import Simulator
 __all__ = [
     "bench_checkpoint_overhead",
     "bench_events_per_sec",
-    "bench_warm_start",
     "check_bench",
     "emit_bench",
-    "emit_warm_start_bench",
     "CHECKPOINT_OVERHEAD_TOLERANCE",
     "DEFAULT_BENCH_PATH",
     "REGRESSION_TOLERANCE",
-    "WARM_START_BENCH_PATH",
 ]
 
 #: ``bench --check`` fails when a shape regresses more than this fraction
@@ -51,8 +46,6 @@ REGRESSION_TOLERANCE = 0.10
 CHECKPOINT_OVERHEAD_TOLERANCE = 0.05
 
 DEFAULT_BENCH_PATH = Path(__file__).resolve().parents[3] / "BENCH_events_per_sec.json"
-
-WARM_START_BENCH_PATH = Path(__file__).resolve().parents[3] / "BENCH_warm_start.json"
 
 #: events/sec of the pre-optimization kernel (commit c25fa61) on the
 #: reference machine, same benchmark bodies.  Kept static: the seed code
@@ -141,90 +134,6 @@ def bench_checkpoint_overhead(events: int = 200_000, reps: int = 5) -> dict:
         "with_roots": round(rooted),
         "ratio": round(rooted / plain, 3),
     }
-
-
-def bench_warm_start(
-    num_nodes: int = 32,
-    seed: int = 1234,
-    workload_keys: Optional[list] = None,
-) -> dict:
-    """Cold vs warm-started Table-I grid (``small`` scale), end to end.
-
-    The cold arm executes every cell from scratch with the trace cache
-    scoped *per cell*, so each cell pays its full shared prefix (trace
-    generation + machine construction) — the regime warm-start targets:
-    at paper scale the prefix is minutes of work and no cache exists on
-    first run.  The warm arm materializes each distinct prefix once,
-    checkpoints it, and forks every cell from the snapshot
-    (:mod:`repro.runner.prefix`).  Both arms run serially in-process and
-    must produce identical metrics.
-    """
-    from repro.apps.cache import _ENV_VAR as TRACE_CACHE_ENV
-    from repro.experiments.table1 import table1_requests
-
-    from .executor import run_requests_report
-    from .spec import execute_request
-
-    requests = table1_requests(
-        num_nodes=num_nodes, scale="small", seed=seed,
-        workload_keys=workload_keys)
-    prev_trace_dir = os.environ.get(TRACE_CACHE_ENV)
-    try:
-        with tempfile.TemporaryDirectory(prefix="repro-warm-bench-") as tmp:
-            tmp_path = Path(tmp)
-            t0 = time.perf_counter()
-            cold = []
-            for i, req in enumerate(requests):
-                os.environ[TRACE_CACHE_ENV] = str(tmp_path / f"cold-{i}")
-                cold.append(execute_request(req))
-            cold_seconds = time.perf_counter() - t0
-
-            os.environ[TRACE_CACHE_ENV] = str(tmp_path / "warm-traces")
-            t0 = time.perf_counter()
-            report = run_requests_report(
-                requests, jobs=1, cache=None,
-                warm_start=str(tmp_path / "snapshots"))
-            warm_seconds = time.perf_counter() - t0
-    finally:
-        if prev_trace_dir is None:
-            os.environ.pop(TRACE_CACHE_ENV, None)
-        else:
-            os.environ[TRACE_CACHE_ENV] = prev_trace_dir
-
-    return {
-        "benchmark": "warm_start_sweep",
-        "grid": {
-            "table": "table1",
-            "scale": "small",
-            "num_nodes": num_nodes,
-            "seed": seed,
-            "cells": len(requests),
-            "prefixes": report.warm_prefixes,
-        },
-        "cold_seconds": round(cold_seconds, 2),
-        "warm_seconds": round(warm_seconds, 2),
-        "speedup": round(cold_seconds / warm_seconds, 2),
-        "identical": cold == report.results,
-        "conditions": (
-            "serial in-process; cold arm pays the full prefix per cell "
-            "(per-cell trace cache scope); warm arm builds each prefix "
-            "once and forks cells from its snapshot"
-        ),
-        "python": sys.version.split()[0],
-        "platform": platform.platform(),
-    }
-
-
-def emit_warm_start_bench(
-    path: Optional[Path | str] = None,
-    num_nodes: int = 32,
-    seed: int = 1234,
-) -> dict:
-    """Run the warm-start benchmark and write the JSON report."""
-    out = Path(path) if path is not None else WARM_START_BENCH_PATH
-    report = bench_warm_start(num_nodes=num_nodes, seed=seed)
-    out.write_text(json.dumps(report, indent=2) + "\n")
-    return report
 
 
 def emit_bench(

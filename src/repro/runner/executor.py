@@ -146,8 +146,6 @@ class RunReport:
     failed: int = 0
     #: cells that hit their budget, checkpointed, and were resumed
     preempted: int = 0
-    #: distinct shared prefixes materialized by the warm-start pre-pass
-    warm_prefixes: int = 0
     #: per-cell latency split, keyed by request index: ``{"wait_s", "exec_s"}``
     #: (queue wait measured submit → worker pickup; execution measured
     #: inside the worker).  Cache hits have no entry — nothing ran.
@@ -161,8 +159,6 @@ class RunReport:
             f"{self.cache_hits} cached",
             f"{self.executed} executed",
         ]
-        if self.warm_prefixes:
-            parts.append(f"{self.warm_prefixes} warm prefix(es)")
         if self.preempted:
             parts.append(f"{self.preempted} preempted")
         if self.retried:
@@ -199,7 +195,6 @@ def run_requests(
     jobs: Optional[Union[int, str]] = None,
     cache: Union[ResultCache, bool, None] = None,
     timeout: Optional[float] = DEFAULT_CELL_TIMEOUT,
-    warm_start: Union[bool, str, None] = False,
     preempt: bool = False,
     retry: Optional[RetryPolicy] = None,
     metrics=None,
@@ -207,8 +202,7 @@ def run_requests(
     """Execute ``requests`` and return metrics in request order."""
     return run_requests_report(
         requests, jobs=jobs, cache=cache, timeout=timeout,
-        warm_start=warm_start, preempt=preempt, retry=retry,
-        metrics=metrics,
+        preempt=preempt, retry=retry, metrics=metrics,
     ).results
 
 
@@ -217,7 +211,6 @@ def run_requests_report(
     jobs: Optional[Union[int, str]] = None,
     cache: Union[ResultCache, bool, None] = None,
     timeout: Optional[float] = DEFAULT_CELL_TIMEOUT,
-    warm_start: Union[bool, str, None] = False,
     preempt: bool = False,
     retry: Optional[RetryPolicy] = None,
     metrics=None,
@@ -227,13 +220,6 @@ def run_requests_report(
     ``cache``: ``None``/``False`` disables result caching, ``True`` uses
     the default on-disk store, or pass a :class:`ResultCache` instance
     (e.g. rooted in a temp directory for tests).
-
-    ``warm_start``: simulate each distinct grid prefix (same workload/
-    machine up to the strategy/fault divergence point) once, checkpoint
-    it, and fork every cell from the snapshot (see
-    :mod:`repro.runner.prefix`).  ``True`` uses the default snapshot
-    cache under ``.result_cache/snapshots``; a path uses that directory.
-    Results are bit-identical to a cold run.
 
     ``preempt``: run cells through
     :func:`~repro.runner.spec.execute_request_resumable` — a cell that
@@ -279,27 +265,8 @@ def run_requests_report(
 
     policy = retry if retry is not None else RetryPolicy()
 
-    if not warm_start:
-        return _execute_pending(pending, njobs, timeout, store, report,
-                                preempt, policy, registry=metrics)
-
-    from . import prefix as prefix_mod
-
-    prev_enable = os.environ.get(prefix_mod.ENV_WARM_START)
-    prev_dir = os.environ.get(prefix_mod.ENV_SNAPSHOT_DIR)
-    prefix_mod.set_warm_start(
-        True, cache_dir=None if warm_start is True else str(warm_start))
-    try:
-        stats = prefix_mod.prewarm_requests([req for _i, req in pending])
-        report.warm_prefixes = stats["groups"]
-        return _execute_pending(pending, njobs, timeout, store, report,
-                                preempt, policy, registry=metrics)
-    finally:
-        prefix_mod.set_warm_start(False)
-        if prev_enable is not None:
-            os.environ[prefix_mod.ENV_WARM_START] = prev_enable
-        if prev_dir is not None:
-            os.environ[prefix_mod.ENV_SNAPSHOT_DIR] = prev_dir
+    return _execute_pending(pending, njobs, timeout, store, report,
+                            preempt, policy, registry=metrics)
 
 
 def _publish_metrics(report: RunReport, registry) -> None:
@@ -309,7 +276,6 @@ def _publish_metrics(report: RunReport, registry) -> None:
     registry.counter("executor.retried").inc(report.retried)
     registry.counter("executor.preempted").inc(report.preempted)
     registry.counter("executor.failed").inc(report.failed)
-    registry.counter("executor.warm_prefixes").inc(report.warm_prefixes)
     wait_h = registry.histogram("executor.cell_wait_s")
     exec_h = registry.histogram("executor.cell_exec_s")
     for timing in report.timings.values():

@@ -10,8 +10,8 @@ instead of serving stale numbers.
 
 Storage goes through the pluggable :class:`repro.store.BlobStore`
 (``results`` namespace) — atomic writes, corrupt-is-a-miss reads — so the
-cache shares one backend with snapshots, run checkpoints, and the
-service's session store.  The on-disk layout is unchanged from every
+cache shares one backend with run checkpoints and the service's
+session store.  The on-disk layout is unchanged from every
 earlier release: ``<root>/<workload>-<strategy>-<key>.pkl``.
 
 The cache key is derived from :meth:`RunRequest.canonical_json` — the

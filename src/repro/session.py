@@ -17,10 +17,9 @@ A session moves through three stages:
 ``spec``
     Nothing built; the constructor only records what to run.
 ``prepared``
-    Workload trace + bare machine exist.  This is the *warm-start
-    point*: every cell of a sweep shares this state regardless of
-    strategy/faults/config, so the runner checkpoints here and forks
-    each cell from the snapshot (see :mod:`repro.runner.prefix`).
+    Workload trace + bare machine exist.  Nothing strategy-, fault- or
+    config-specific is built yet, so :meth:`Session.fork` here can still
+    choose those for each copy.
 ``wired``
     Tracer attached, fault plan installed, strategy constructed,
     :class:`~repro.balancers.base.Driver` built.  Reached lazily on the
@@ -159,62 +158,23 @@ class Session:
         return Machine(topo, seed=self.seed, contention=self.contention)
 
     # ------------------------------------------------------------------
-    # warm-start identity
-    # ------------------------------------------------------------------
-    def prefix_fingerprint(self) -> Optional[dict]:
-        """The shared-prefix identity of this session's *prepared* stage.
-
-        Two sessions with equal fingerprints build byte-identical
-        prepared state (trace + bare machine), whatever their strategy,
-        fault plan, tracer, or cost config — those only enter at the
-        wire stage.  Returns ``None`` when the session is not
-        content-addressable (raw trace or ad-hoc topology object).
-        """
-        if not isinstance(self.workload, str):
-            return None
-        if self.topology is not None and not isinstance(self.topology, str):
-            return None
-        from repro.experiments.common import current_scale
-
-        return {
-            "workload": self.workload,
-            "num_nodes": self.num_nodes,
-            "seed": self.seed,
-            "scale": current_scale(self.scale),
-            "topology": self.topology,
-            "contention": self.contention,
-        }
-
-    # ------------------------------------------------------------------
     # staging
     # ------------------------------------------------------------------
     def prepare(self) -> "Session":
-        """Build the workload trace and the bare machine (idempotent).
-
-        When warm-start is enabled (:mod:`repro.runner.prefix`), the
-        prepared state is restored from the content-addressed snapshot
-        cache instead of being rebuilt — bit-identical either way.
-        """
+        """Build the workload trace (through the trace disk cache) and the
+        bare machine (idempotent)."""
         if self._stage != "spec":
             return self
-        from repro.runner.prefix import maybe_restore_prefix, maybe_store_prefix
-
         spec = self._workload_spec()
         if spec is not None:
             self.workload_label = spec.label
-        machine = maybe_restore_prefix(self)
-        if machine is not None:
-            self._machine = machine
-            self._trace = machine.snapshot_root("trace")
+        if isinstance(self.workload, WorkloadTrace):
+            self._trace = self.workload
         else:
-            if isinstance(self.workload, WorkloadTrace):
-                self._trace = self.workload
-            else:
-                self._trace = spec.build(self.num_nodes)
-            self._machine = self._build_machine()
-            # the trace must survive checkpoint/restore with the machine
-            self._machine.register_snapshot_root("trace", self._trace)
-            maybe_store_prefix(self)
+            self._trace = spec.build(self.num_nodes)
+        self._machine = self._build_machine()
+        # the trace must survive checkpoint/restore with the machine
+        self._machine.register_snapshot_root("trace", self._trace)
         self._stage = "prepared"
         return self
 
@@ -316,7 +276,7 @@ class Session:
         strategy, tracer, fault state — resuming is bit-identical to
         never having stopped).  A prepared snapshot restores to a
         prepared session whose strategy/faults/tracer can still be
-        chosen — that is the warm-start fork point.
+        chosen (see :meth:`fork`).
         """
         from repro.snapshot import restore as restore_machine
 
@@ -373,7 +333,7 @@ class Session:
                 "cannot override strategy/faults/config on a wired fork; "
                 "fork before the first run() call"
             )
-        for key in ("strategy", "faults", "config", "contention", "topology"):
+        for key in ("strategy", "faults", "config"):
             if key in overrides:
                 setattr(sess, key, overrides.pop(key))
         if "trace" in overrides:

@@ -28,10 +28,9 @@ them — so this is behavior-neutral.
 
 Versioning
 ----------
-:data:`SNAPSHOT_VERSION` is baked into every snapshot (and into the
-warm-start cache key).  Bump it whenever simulator internals change
-shape; stale snapshots then fail with :class:`SnapshotVersionError`
-instead of resurrecting undefined state.
+:data:`SNAPSHOT_VERSION` is baked into every snapshot.  Bump it whenever
+simulator internals change shape; stale snapshots then fail with
+:class:`SnapshotVersionError` instead of resurrecting undefined state.
 """
 
 from __future__ import annotations
@@ -54,10 +53,8 @@ __all__ = [
     "Snapshot",
     "SnapshotError",
     "SnapshotVersionError",
-    "SnapshotCache",
     "capture",
     "restore",
-    "snapshot_cache_dir",
     "roundtrip_check",
 ]
 
@@ -251,135 +248,6 @@ def restore(snapshot: Snapshot) -> "Machine":
     machine._snapshot_roots = roots
     fast_forward_msg_ids(snapshot.msg_watermark)
     return machine
-
-
-# ----------------------------------------------------------------------
-# on-disk snapshot cache (warm-start sweeps)
-# ----------------------------------------------------------------------
-def snapshot_cache_dir() -> Path:
-    """Default snapshot cache directory: ``<result_cache>/snapshots``."""
-    from repro.store import default_store_root
-
-    path = default_store_root() / "snapshots"
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-class SnapshotCache:
-    """Content-keyed snapshot store on the shared blob store.
-
-    Keys are caller-computed strings (the warm-start prefix hash — see
-    :mod:`repro.runner.prefix`); storage is the ``snapshots`` namespace
-    of a :class:`repro.store.BlobStore`, with the same atomic-write/
-    corrupt-is-a-miss discipline as the result cache.  ``root`` keeps
-    the historical constructor: a directory that *is* the snapshots
-    shelf (tests point it at a temp dir).
-    """
-
-    SUFFIX = ".ckpt"
-    _NS = "snapshots"
-
-    def __init__(self, root: Optional[Path | str] = None,
-                 store=None) -> None:
-        from repro.store import LocalDirStore
-
-        if store is not None and root is not None:
-            raise ValueError("pass either root= or store=, not both")
-        if root is not None:
-            self.root = Path(root)
-            self.root.mkdir(parents=True, exist_ok=True)
-            self.store = _FlatSnapshotStore(self.root)
-        else:
-            self.store = store if store is not None else LocalDirStore()
-            self.root = Path(self.store.stats(self._NS)["dir"])
-        self.hits = 0
-        self.misses = 0
-
-    def path(self, key: str) -> Path:
-        return self.root / f"{key}{self.SUFFIX}"
-
-    def get(self, key: str) -> Optional[Snapshot]:
-        data = self.store.get(self._NS, key)
-        if data is not None:
-            try:
-                snap = Snapshot.from_bytes(data, source=str(self.path(key)))
-                self.hits += 1
-                return snap
-            except SnapshotError:
-                self.store.delete(self._NS, key)  # stale version / corrupt
-        self.misses += 1
-        return None
-
-    def put(self, key: str, snapshot: Snapshot) -> Path:
-        self.store.put(self._NS, key, snapshot.to_bytes())
-        return self.path(key)
-
-    def clear(self) -> int:
-        return self.store.clear(self._NS)
-
-    def stats(self) -> dict:
-        st = self.store.stats(self._NS)
-        return {
-            "dir": str(self.root),
-            "entries": st["entries"],
-            "bytes": st["bytes"],
-            "version": SNAPSHOT_VERSION,
-            "session_hits": self.hits,
-            "session_misses": self.misses,
-        }
-
-
-class _FlatSnapshotStore:
-    """Blob-store adapter for a :class:`SnapshotCache` rooted at an
-    explicit directory: that directory *is* the snapshots shelf.  Used by
-    tests and ``REPRO_SNAPSHOT_CACHE``-style overrides that predate the
-    shared store; implements the same atomic-write contract."""
-
-    def __init__(self, root: Path) -> None:
-        self.root = root
-
-    def path(self, ns: str, key: str) -> Path:
-        return self.root / f"{key}{SnapshotCache.SUFFIX}"
-
-    def put(self, ns: str, key: str, data: bytes) -> None:
-        path = self.path(ns, key)
-        tmp = Path(f"{path}.{os.getpid()}.tmp")
-        tmp.write_bytes(data)
-        tmp.replace(path)
-
-    def get(self, ns: str, key: str) -> Optional[bytes]:
-        try:
-            return self.path(ns, key).read_bytes()
-        except OSError:
-            return None
-
-    def delete(self, ns: str, key: str) -> bool:
-        try:
-            self.path(ns, key).unlink()
-            return True
-        except OSError:
-            return False
-
-    def keys(self, ns: str) -> list[str]:
-        n = len(SnapshotCache.SUFFIX)
-        return sorted(p.name[:-n]
-                      for p in self.root.glob(f"*{SnapshotCache.SUFFIX}"))
-
-    def clear(self, ns: Optional[str] = None) -> int:
-        removed = 0
-        for key in self.keys("snapshots"):
-            if self.delete("snapshots", key):
-                removed += 1
-        return removed
-
-    def stats(self, ns: Optional[str] = None) -> dict:
-        entries = list(self.root.glob(f"*{SnapshotCache.SUFFIX}"))
-        return {
-            "namespace": "snapshots",
-            "dir": str(self.root),
-            "entries": len(entries),
-            "bytes": sum(p.stat().st_size for p in entries),
-        }
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,9 @@
 """Pluggable blob storage behind every on-disk cache.
 
-Four subsystems persist content-addressed artifacts — finished cell
-results (:mod:`repro.runner.result_cache`), warm-start prefix snapshots
-(:class:`repro.snapshot.SnapshotCache`), preempted-cell run checkpoints
-(:mod:`repro.runner.spec`), and the service's paused-session store
-(:mod:`repro.service`).  They all want the same thing: atomic writes of
+Three subsystems persist content-addressed artifacts — finished cell
+results (:mod:`repro.runner.result_cache`), preempted-cell run
+checkpoints (:mod:`repro.runner.spec`), and the service's paused-session
+store (:mod:`repro.service`).  They all want the same thing: atomic writes of
 opaque bytes under a caller-computed key, corrupt-is-a-miss reads, and
 cheap enumeration.  :class:`BlobStore` is that contract, and
 :class:`LocalDirStore` the local-filesystem backend; other backends
@@ -13,8 +12,8 @@ and everything above them keeps working.
 
 Namespaces
 ----------
-Blobs live in *namespaces* — ``results``, ``snapshots``, ``checkpoints``,
-``sessions`` — each mapping to a subdirectory + filename suffix of the
+Blobs live in *namespaces* — ``results``, ``checkpoints``, ``sessions``
+— each mapping to a subdirectory + filename suffix of the
 store root.  The mapping reproduces the historical ``.result_cache/``
 layout exactly, so a store pointed at a pre-existing cache directory
 sees every entry that was written before this abstraction existed.
@@ -73,8 +72,6 @@ NAMESPACES: dict[str, BlobNamespace] = {
     for ns in (
         BlobNamespace("results", "", ".pkl",
                       "finished experiment cells (RunMetrics pickles)"),
-        BlobNamespace("snapshots", "snapshots", ".ckpt",
-                      "warm-start prefix snapshots"),
         BlobNamespace("checkpoints", "checkpoints", ".ckpt",
                       "preempted/crash-durable run checkpoints"),
         BlobNamespace("sessions", "sessions", ".ckpt",

@@ -17,7 +17,7 @@ from repro.loadtest import (
     make_loadtest_report,
     run_loadtest,
 )
-from repro.loadtest.report import _structural_failures
+from repro.loadtest.report import DEFAULT_LOADTEST_PATH, _structural_failures
 from repro.obs.metrics import REPORT_SCHEMA, validate_report
 
 
@@ -139,6 +139,16 @@ def test_check_gates_against_committed_baseline(tmp_path, runner_report):
     assert any("events/sec regressed" in f for f in result["failures"])
 
 
+def test_committed_baseline_loads():
+    # ``loadtest --check`` reads the committed file's envelope and config
+    # blocks before it measures anything; a stale or unknown field there
+    # fails the gate however fast the code is
+    baseline = json.loads(DEFAULT_LOADTEST_PATH.read_text())
+    validate_report(baseline, kind="loadtest")
+    LoadtestConfig.from_dict(baseline["data"]["config"])
+    LoadtestConfig.from_dict(baseline["data"]["churn"]["config"])
+
+
 def test_check_without_baseline_fails_loudly(tmp_path):
     result = check_loadtest(path=tmp_path / "missing.json")
     assert not result["ok"]
@@ -190,7 +200,7 @@ def test_structural_gates_exempt_churn_from_cache_hits():
                 "sessions": 6, "completed": 6, "failed": 0,
                 "latency_s": {"p50": 0.1, "p99": 0.2},
                 "events_per_sec": 1000.0,
-                "cache": {"result_hits": 0, "snapshot_hits": 0},
+                "cache": {"result_hits": 0},
                 "errors": {"r429": 0, "r503": 0},
             }
         }

@@ -86,8 +86,13 @@ def test_fork_after_wiring_rejects_overrides():
 
 
 def test_fork_rejects_unknown_overrides():
-    with pytest.raises(TypeError, match="unknown fork overrides"):
-        _sess().prepare().fork(frobnicate=True)
+    base = _sess().prepare()
+    # a fork restores the parent's machine, so it cannot change the mesh
+    # or the network: topology/contention must not be silently dropped
+    for override in ({"frobnicate": True}, {"topology": "hypercube"},
+                     {"contention": True}):
+        with pytest.raises(TypeError, match="unknown fork overrides"):
+            base.fork(**override)
 
 
 def test_fork_can_attach_tracer():
@@ -131,7 +136,6 @@ def test_session_accepts_prebuilt_trace():
     trace = workload("queens-10", "small").build(8)
     sess = Session(trace, strategy="RIPS", num_nodes=8, scale="small")
     assert isinstance(sess.workload, WorkloadTrace)
-    assert sess.prefix_fingerprint() is None  # not content-addressable
     got, ref = sess.run(), _sess().run()
     ref.extra.pop("workload_label")  # a bare trace has no display label
     assert got == ref

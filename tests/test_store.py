@@ -20,7 +20,6 @@ def test_namespaces_map_to_historical_layout(store):
     # the mapping IS the compatibility contract with pre-store caches
     assert store.path("results", "k").name == "k.pkl"
     assert store.path("results", "k").parent == store.root
-    assert store.path("snapshots", "k") == store.root / "snapshots" / "k.ckpt"
     assert store.path("checkpoints", "k") == \
         store.root / "checkpoints" / "k.ckpt"
     assert store.path("sessions", "k") == store.root / "sessions" / "k.ckpt"
@@ -28,10 +27,10 @@ def test_namespaces_map_to_historical_layout(store):
 
 def test_namespaces_are_isolated(store):
     store.put("results", "same-key", b"r")
-    store.put("snapshots", "same-key", b"s")
+    store.put("checkpoints", "same-key", b"c")
     assert store.get("results", "same-key") == b"r"
-    assert store.get("snapshots", "same-key") == b"s"
-    assert store.keys("checkpoints") == []
+    assert store.get("checkpoints", "same-key") == b"c"
+    assert store.keys("sessions") == []
 
 
 def test_unknown_namespace_lists_available(store):
@@ -66,7 +65,7 @@ def test_delete_and_keys(store):
 
 def test_stats_per_namespace_and_aggregate(store):
     store.put("results", "r1", b"12345")
-    store.put("snapshots", "s1", b"123")
+    store.put("checkpoints", "c1", b"123")
     one = store.stats("results")
     assert one["entries"] == 1 and one["bytes"] == 5
     agg = store.stats()
@@ -83,20 +82,15 @@ def test_clear_one_namespace_or_all(store):
     assert store.stats()["entries"] == 0
 
 
-def test_shared_store_backs_result_and_snapshot_caches(tmp_path):
-    # one root, three consumers: the generalization the service relies on
+def test_shared_store_backs_result_cache(tmp_path):
+    # the result cache sits on the same store root the service uses
     from repro.runner import ResultCache
-    from repro.snapshot import SnapshotCache
 
     store = LocalDirStore(tmp_path)
     rc = ResultCache(store=store)
-    sc = SnapshotCache(store=store)
     assert rc.root == store.root
-    assert sc.root == store.root / "snapshots"
     with pytest.raises(ValueError):
         ResultCache(tmp_path, store=store)
-    with pytest.raises(ValueError):
-        SnapshotCache(tmp_path, store=store)
 
 
 def test_namespace_resolver_is_static():
