@@ -110,7 +110,7 @@ class App:
                 rec = await self.manager.pause(session_id)
                 return json_response(rec.to_doc())
             if verb == "resume":
-                rec = await self.manager.resume(session_id)
+                rec = self.manager.resume(session_id)
                 return json_response(rec.to_doc(), status=202)
             if verb == "fork":
                 rec = self.manager.fork(

@@ -13,7 +13,6 @@ import http.client
 import json
 import os
 import socket
-import struct
 import time
 from base64 import b64encode
 from typing import Iterator, Optional
@@ -26,8 +25,10 @@ from .http import (
     WS_OP_PING,
     WS_OP_PONG,
     WS_OP_TEXT,
+    is_terminal_frame,
     ws_accept_key,
     ws_encode_frame,
+    ws_read_frame_sync,
 )
 
 __all__ = ["ServiceClient", "ServiceClientError", "SessionFailed"]
@@ -248,9 +249,6 @@ class ServiceClient:
                         last_seq = seq
                     failures = 0
                     yield frame
-                    if frame.get("type") == "result" or \
-                            frame.get("state") in ("failed", "cancelled"):
-                        return
                 return  # clean close after the terminal frame
             except (ConnectionError, OSError) as exc:
                 failures += 1
@@ -307,7 +305,7 @@ class ServiceClient:
                     101, {"error": "bad Sec-WebSocket-Accept in handshake"})
 
             while True:
-                opcode, payload = _read_frame_blocking(reader)
+                opcode, payload = ws_read_frame_sync(reader.read)
                 if opcode == WS_OP_CLOSE:
                     return
                 if opcode == WS_OP_PING:
@@ -319,8 +317,7 @@ class ServiceClient:
                     continue
                 frame = json.loads(payload)
                 yield frame
-                if frame.get("type") == "result" or \
-                        frame.get("state") in ("failed", "cancelled"):
+                if is_terminal_frame(frame):
                     return
         finally:
             try:
@@ -330,33 +327,3 @@ class ServiceClient:
             except OSError:
                 pass
             sock.close()
-
-
-def _read_frame_blocking(reader) -> tuple[int, bytes]:
-    """Blocking twin of :func:`repro.service.http.ws_read_frame`."""
-    opcode = None
-    payload = bytearray()
-    while True:
-        head = reader.read(2)
-        if len(head) < 2:
-            raise ConnectionError("websocket closed mid-frame")
-        b0, b1 = head
-        fin = bool(b0 & 0x80)
-        op = b0 & 0x0F
-        masked = bool(b1 & 0x80)
-        length = b1 & 0x7F
-        if length == 126:
-            (length,) = struct.unpack(">H", reader.read(2))
-        elif length == 127:
-            (length,) = struct.unpack(">Q", reader.read(8))
-        key = reader.read(4) if masked else None
-        data = reader.read(length) if length else b""
-        if key:
-            data = bytes(b ^ key[i % 4] for i, b in enumerate(data))
-        if op & 0x8:
-            return op, data
-        if opcode is None:
-            opcode = op if op else WS_OP_TEXT
-        payload += data
-        if fin:
-            return opcode, bytes(payload)

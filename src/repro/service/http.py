@@ -7,8 +7,9 @@ encode/decode.  It implements exactly the slice the scheduling service
 needs (``Content-Length`` bodies, keep-alive, text frames, ping/pong,
 clean close) and rejects the rest loudly rather than approximating it.
 
-Nothing in here knows about sessions or scheduling; :mod:`.app` builds
-on these primitives.
+Apart from the rule that ends a session's frame stream
+(:func:`is_terminal_frame`), nothing in here knows about sessions or
+scheduling; :mod:`.app` builds on these primitives.
 """
 
 from __future__ import annotations
@@ -31,11 +32,13 @@ __all__ = [
     "WS_OP_CLOSE",
     "WS_OP_PING",
     "WS_OP_PONG",
+    "is_terminal_frame",
     "json_response",
     "read_request",
     "ws_accept_key",
     "ws_encode_frame",
     "ws_read_frame",
+    "ws_read_frame_sync",
 ]
 
 #: Largest request body accepted (a grid submit of a few thousand cells
@@ -213,30 +216,31 @@ def ws_encode_frame(payload: bytes, opcode: int = WS_OP_TEXT,
     return bytes(head) + payload
 
 
-async def ws_read_frame(reader: asyncio.StreamReader,
-                        max_size: int = MAX_BODY_BYTES) -> tuple[int, bytes]:
-    """Read one frame; returns ``(opcode, payload)``.
+def _ws_decoder(max_size: int):
+    """The one frame decoder, as a generator the caller drives with I/O.
 
-    Handles masked and unmasked payloads and 16/64-bit lengths;
-    reassembles fragmented messages (continuation frames) into one
-    payload.  Raises ``asyncio.IncompleteReadError`` on disconnect.
+    It yields how many bytes it needs next and must be sent exactly
+    that many back; it returns ``(opcode, payload)``.  Handles masked
+    and unmasked payloads and 16/64-bit lengths; reassembles fragmented
+    messages (continuation frames) into one payload.  A frame longer
+    than ``max_size`` raises :class:`HttpError` (413).
     """
     opcode = None
     payload = bytearray()
     while True:
-        b0, b1 = await reader.readexactly(2)
+        b0, b1 = yield 2
         fin = bool(b0 & 0x80)
         op = b0 & 0x0F
         masked = bool(b1 & 0x80)
         length = b1 & 0x7F
         if length == 126:
-            (length,) = struct.unpack(">H", await reader.readexactly(2))
+            (length,) = struct.unpack(">H", (yield 2))
         elif length == 127:
-            (length,) = struct.unpack(">Q", await reader.readexactly(8))
+            (length,) = struct.unpack(">Q", (yield 8))
         if length > max_size:
             raise HttpError(413, f"websocket frame exceeds {max_size} bytes")
-        key = await reader.readexactly(4) if masked else None
-        data = await reader.readexactly(length) if length else b""
+        key = (yield 4) if masked else None
+        data = yield length
         if key is not None:
             data = bytes(b ^ key[i % 4] for i, b in enumerate(data))
         if op & 0x8:  # control frames are never fragmented
@@ -246,3 +250,40 @@ async def ws_read_frame(reader: asyncio.StreamReader,
         payload += data
         if fin:
             return opcode, bytes(payload)
+
+
+async def ws_read_frame(reader: asyncio.StreamReader,
+                        max_size: int = MAX_BODY_BYTES) -> tuple[int, bytes]:
+    """Read one frame off an asyncio stream; returns ``(opcode,
+    payload)``.  Raises ``asyncio.IncompleteReadError`` on disconnect."""
+    decoder = _ws_decoder(max_size)
+    try:
+        need = next(decoder)
+        while True:
+            need = decoder.send(await reader.readexactly(need))
+    except StopIteration as done:
+        return done.value
+
+
+def is_terminal_frame(frame: dict) -> bool:
+    """Whether ``frame`` ends a stream: a ``result``, or the ``state`` frame
+    of a failed or cancelled session (a result follows ``hello``/``done``)."""
+    return frame.get("type") == "result" or (
+        frame.get("type") == "state"
+        and frame.get("state") in ("failed", "cancelled"))
+
+
+def ws_read_frame_sync(read) -> tuple[int, bytes]:
+    """Blocking twin of :func:`ws_read_frame` over ``read(n)`` (e.g. a
+    socket file's); raises ``ConnectionError`` on a short read — the
+    peer closed mid-frame."""
+    decoder = _ws_decoder(MAX_BODY_BYTES)
+    try:
+        need = next(decoder)
+        while True:
+            data = read(need)
+            if len(data) < need:
+                raise ConnectionError("websocket closed mid-frame")
+            need = decoder.send(data)
+    except StopIteration as done:
+        return done.value

@@ -7,11 +7,11 @@ recorded event — admission, state transition, auto-checkpoint, terminal
 result — so whatever instant the server dies at, the store holds a
 consistent prefix of each session's history.  On startup
 :meth:`repro.service.manager.SessionManager.recover` replays the
-journals: terminal sessions come back as queryable records, paused
-sessions keep their checkpoints, and interrupted (queued/running)
-sessions are re-admitted from their last auto-checkpoint and completed
-**bit-identically** to a run that was never interrupted (the same
-guarantee the pause/resume path already proves — both ride
+journals: terminal sessions come back as queryable records, sessions a
+client paused keep their checkpoints, and interrupted (queued/running)
+or health-parked sessions are re-admitted from their last checkpoint
+and completed **bit-identically** to a run that was never interrupted
+(the same guarantee the pause/resume path already proves — both ride
 :mod:`repro.snapshot`).
 
 Design points:
@@ -32,6 +32,8 @@ Design points:
   :meth:`SessionJournal.record`, which swallows store failures and
   reports them to the health monitor instead — a full disk degrades the
   service, it does not crash simulations that are already in memory.
+  The ids whose last write failed are remembered, so the health
+  machine can re-test the store with :meth:`SessionJournal.retry_failed`.
 """
 
 from __future__ import annotations
@@ -71,6 +73,9 @@ class SessionJournal:
         self.on_write_error = on_write_error
         self.on_write_ok = on_write_ok
         self._docs: dict[str, dict] = {}
+        #: ids whose newest document has not reached the store, oldest
+        #: failure first (a dict used as an ordered set)
+        self._unwritten: dict[str, None] = {}
         self.write_failures = 0
 
     # ------------------------------------------------------------------
@@ -105,9 +110,21 @@ class SessionJournal:
         doc["entries"].append(entry)
         self._flush(session_id)
 
+    def retry_failed(self) -> None:
+        """Re-test the store with one put — the oldest document whose
+        last write failed — and re-put the rest only once that succeeds,
+        so a store that is still down costs one put and one counted
+        failure per call.  A success reports ``on_write_ok``, which
+        resets the health streak."""
+        for session_id in list(self._unwritten):
+            self._flush(session_id)
+            if session_id in self._unwritten:
+                return  # still failing
+
     def forget(self, session_id: str) -> None:
         """Drop a session's journal blob (terminal-record GC)."""
         self._docs.pop(session_id, None)
+        self._unwritten.pop(session_id, None)
         try:
             self.store.delete(_NS, _PREFIX + session_id)
         except Exception:  # noqa: BLE001 - GC must never raise
@@ -120,9 +137,11 @@ class SessionJournal:
             self.store.put(_NS, _PREFIX + session_id, data)
         except Exception as exc:  # noqa: BLE001 - durability is best-effort
             self.write_failures += 1
+            self._unwritten.setdefault(session_id)
             if self.on_write_error is not None:
                 self.on_write_error(exc)
         else:
+            self._unwritten.pop(session_id, None)
             if self.on_write_ok is not None:
                 self.on_write_ok()
 
@@ -157,20 +176,22 @@ class SessionJournal:
         docs.sort(key=lambda d: (d.get("n", 0), d.get("id", "")))
         return docs
 
-    def max_admission_index(self) -> int:
-        return max((d.get("n", 0) for d in self._docs.values()), default=0)
-
     # ------------------------------------------------------------------
     # document views (static so tests can use them on raw docs)
     # ------------------------------------------------------------------
     @staticmethod
-    def last_state(doc: dict) -> str:
-        """The session's last journaled lifecycle state."""
-        state = "queued"
+    def last_state_entry(doc: dict) -> dict:
+        """The newest ``state`` entry (``{}`` before the first one)."""
+        last: dict = {}
         for entry in doc.get("entries", ()):
             if entry.get("kind") == "state":
-                state = entry.get("state", state)
-        return state
+                last = entry
+        return last
+
+    @staticmethod
+    def last_state(doc: dict) -> str:
+        """The session's last journaled lifecycle state."""
+        return SessionJournal.last_state_entry(doc).get("state", "queued")
 
     @staticmethod
     def last_checkpoint(doc: dict) -> str:
@@ -194,12 +215,8 @@ class SessionJournal:
     def terminal(doc: dict) -> Optional[dict]:
         """The terminal entry (with ``state``/``metrics``/``error``), or
         ``None`` while the session is still live."""
-        last = None
-        for entry in doc.get("entries", ()):
-            if entry.get("kind") == "state" \
-                    and entry.get("state") in TERMINAL_STATES:
-                last = entry
-        return last
+        last = SessionJournal.last_state_entry(doc)
+        return last if last.get("state") in TERMINAL_STATES else None
 
     def __len__(self) -> int:
         return len(self._docs)

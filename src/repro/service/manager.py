@@ -46,18 +46,25 @@ Crash discipline (the robustness contract):
   path, whose process pool can actually kill workers.
 * **Health-state machine** — ``ok → degraded → shedding``, driven by
   queue depth, consecutive journal-write failures, and the recent
-  slice-failure rate.  Anything short of ``ok`` stops admitting new
-  work (503 + deterministic ``Retry-After``) and pauses running
-  sessions; recovery to ``ok`` resumes them automatically.
-  ``GET /v1/healthz`` surfaces the state and its reasons.
+  slice-failure rate.  One level rule acts on it: while a fault signal
+  holds, submits get 503 + deterministic ``Retry-After`` and each
+  session parks durably at its next slice boundary, journaled with
+  ``"cause": "health"`` (one the store cannot checkpoint runs on).
+  Evaluations re-test both signals, and re-run every ``Retry-After``
+  seconds while sessions stay parked, so fault mode ends on its own and
+  they resume (after a restart too: recovery re-admits them).
+  ``GET /v1/healthz`` surfaces the state and reasons.
 
-Pause/resume/fork go through :mod:`repro.snapshot`: pausing checkpoints
-the session into the ``sessions`` namespace of the shared
-:class:`repro.store.BlobStore`; resume and fork rebuild from that blob,
-bit-identical to a run that never stopped.  Auto-checkpoints reuse the
-same machinery on the same slice boundaries (keys ``<id>-auto-<n>``,
-dropped once the session completes; pause checkpoints survive for
-forking).
+Lifecycle: one ``(state, event) → state`` table, :data:`_LIFECYCLE`,
+applied only by :meth:`SessionRecord.step` (which also publishes the
+state frame and journals the transition).  Verbs look their event up
+first — a missing row is a 409.  Pause/resume/fork go through
+:mod:`repro.snapshot`: parking checkpoints the session into the
+``sessions`` namespace of the shared :class:`repro.store.BlobStore`;
+resume and fork rebuild from that blob, bit-identical to a run that
+never stopped.  Auto-checkpoints reuse the same machinery on the same
+slice boundaries (keys ``<id>-auto-<n>``, dropped once the session
+completes; pause checkpoints survive for forking).
 """
 
 from __future__ import annotations
@@ -75,7 +82,8 @@ from repro.runner import ResultCache, RetryPolicy, RunRequest, run_requests_repo
 from repro.snapshot import Snapshot, SnapshotError
 from repro.store import BlobStore, LocalDirStore
 
-from .journal import SessionJournal
+from .http import is_terminal_frame
+from .journal import TERMINAL_STATES, SessionJournal
 
 __all__ = [
     "AdmissionFull",
@@ -91,6 +99,15 @@ __all__ = [
 ]
 
 _SESSIONS_NS = "sessions"
+
+# fixed tuning (no caller needs another value)
+_TRACE_MAX_RECORDS = 200_000  # tracer backstop for traced sessions
+_KEEP_DONE = 512  # finished session records kept for status queries
+_FRAME_LOG = 512  # frames kept per session for ``?since=`` replay
+_SLICE_BACKOFF_CAP = 2.0  # cap on the slice-retry backoff, seconds
+_DEGRADED_QUEUE_FRAC = 0.8  # queued/queue_depth that trips "degraded"
+_HEALTH_WINDOW = 16  # slice outcomes behind the failure-rate signal
+_RETRY_AFTER = {"ok": 2.0, "degraded": 2.0, "shedding": 10.0}  # seconds
 
 
 @dataclass(frozen=True)
@@ -109,13 +126,6 @@ class ServiceConfig:
     quota_refill: float = 2.0
     #: simulator events per progress slice (frame cadence)
     slice_events: int = 50_000
-    #: tracer backstop for traced service sessions
-    trace_max_records: int = 200_000
-    #: process-pool width for the batch (grid) endpoint; None = runner
-    #: default ($REPRO_JOBS or serial)
-    grid_jobs: Optional[int] = None
-    #: finished/failed session records kept for status queries
-    keep_done: int = 512
     #: blob-store root override (None = the shared .result_cache/)
     store_root: Optional[str] = None
     #: serve results from / fill the shared result cache
@@ -133,21 +143,11 @@ class ServiceConfig:
     slice_retries: int = 2
     #: backoff before retry k: min(cap, base * 2**k), plus jitter
     slice_backoff: float = 0.05
-    slice_backoff_cap: float = 2.0
     #: seed for deterministic retry jitter (None = nondeterministic)
     retry_seed: Optional[int] = None
     # ----- health ----------------------------------------------------
-    #: frames retained per session for reconnect replay (``?since=``)
-    frame_log: int = 512
-    #: queued/queue_depth fraction that trips "degraded"
-    degraded_queue_frac: float = 0.8
     #: consecutive journal-write failures that trip "degraded"
     journal_fail_threshold: int = 3
-    #: slice outcomes considered for the failure-rate signal
-    health_window: int = 16
-    #: Retry-After advertised while degraded / shedding, seconds
-    degraded_retry_after: float = 2.0
-    shedding_retry_after: float = 10.0
 
 
 class ServiceError(Exception):
@@ -258,9 +258,7 @@ class HealthMonitor:
         self.config = config
         self.state = "ok"
         self.journal_fail_streak = 0
-        self.slice_window: deque = deque(
-            maxlen=max(4, config.health_window))
-        self.transitions: list[tuple[str, str]] = []
+        self.slice_window: deque = deque(maxlen=_HEALTH_WINDOW)
 
     # ----- signal feeds ----------------------------------------------
     def note_journal_failure(self) -> None:
@@ -273,19 +271,9 @@ class HealthMonitor:
         self.slice_window.append(bool(ok))
 
     # ----- evaluation ------------------------------------------------
-    def load_reasons(self, queued: int, queue_limit: int) -> list[str]:
-        """Pressure signals: visible on /healthz, but *admission control*
-        is the shedding mechanism for these (429 per excess submit) —
-        refusing all work because the queue is busy would be circular."""
-        cfg = self.config
-        out = []
-        if queue_limit > 0 and queued >= cfg.degraded_queue_frac * queue_limit:
-            out.append(f"queue depth {queued}/{queue_limit}")
-        return out
-
     def fault_reasons(self) -> list[str]:
         """Fault signals: something is *broken*, not merely busy — these
-        stop new admissions (503) and pause running sessions."""
+        stop new admissions (503) and park every session."""
         cfg = self.config
         out = []
         if self.journal_fail_streak >= cfg.journal_fail_threshold:
@@ -297,24 +285,23 @@ class HealthMonitor:
             out.append(f"slice failure rate {fails}/{len(window)}")
         return out
 
-    def reasons(self, queued: int, queue_limit: int) -> list[str]:
-        return self.load_reasons(queued, queue_limit) + self.fault_reasons()
-
     def evaluate(self, queued: int, queue_limit: int) -> tuple[str, list[str]]:
-        """Recompute the state; records (and returns) any transition."""
-        load = self.load_reasons(queued, queue_limit)
+        """Recompute the state; returns ``(state, reasons)``.  Queue
+        pressure shows here, but *admission control* sheds it (429 per
+        excess submit) — refusing all work because the queue is busy
+        would be circular."""
         faults = self.fault_reasons()
+        load = []
+        if queue_limit > 0 and queued >= _DEGRADED_QUEUE_FRAC * queue_limit:
+            load.append(f"queue depth {queued}/{queue_limit}")
         if not load and not faults:
-            new = "ok"
+            self.state = "ok"
         elif (len(faults) >= 2 or (faults and load)
                 or self.journal_fail_streak
                 >= 2 * self.config.journal_fail_threshold):
-            new = "shedding"
+            self.state = "shedding"
         else:
-            new = "degraded"
-        if new != self.state:
-            self.transitions.append((self.state, new))
-            self.state = new
+            self.state = "degraded"
         return self.state, load + faults
 
     def refusing(self) -> bool:
@@ -322,17 +309,21 @@ class HealthMonitor:
         return bool(self.fault_reasons())
 
     def retry_after(self) -> float:
-        if self.state == "shedding":
-            return self.config.shedding_retry_after
-        return self.config.degraded_retry_after
+        return _RETRY_AFTER[self.state]
 
 
-#: Session lifecycle: every transition is published as a frame.
-_STATES = ("queued", "running", "paused", "done", "failed", "cancelled")
+#: The session lifecycle, ``(state, event) → next state``, applied only
+#: by :meth:`SessionRecord.step`; a verb whose event has no row is a 409.
+_LIFECYCLE = {
+    ("queued", "start"): "running",    ("queued", "park"): "paused",
+    ("running", "park"): "paused",     ("running", "finish"): "done",
+    ("paused", "resume"): "queued",
+    ("queued", "cancel"): "cancelled", ("running", "cancel"): "cancelled",
+    ("paused", "cancel"): "cancelled",
+    ("queued", "fail"): "failed",      ("running", "fail"): "failed",
+}
 #: States that still occupy (or will occupy) an execution slot.
 _ACTIVE = ("queued", "running")
-#: States the session will never leave.
-_TERMINAL = ("done", "failed", "cancelled")
 
 
 @dataclass
@@ -369,7 +360,7 @@ class SessionRecord:
     #: disqualifies the run from filling the start-to-finish result
     #: cache (still bit-identical, just conservatively not cached)
     restored: bool = False
-    #: paused by the health machine (auto-resumed on return to ok)
+    #: parked by the health rule (journaled as the pause's cause)
     health_paused: bool = False
     # internals (not serialized)
     session: Optional[object] = None
@@ -377,8 +368,8 @@ class SessionRecord:
     subscribers: list = field(default_factory=list)
     journal: Optional[SessionJournal] = None
     #: recent frames, replayed for ``?since=<seq>`` reconnects
-    frame_log: deque = field(default_factory=lambda: deque(maxlen=512))
-    _changed: Optional[asyncio.Event] = None
+    frame_log: deque = field(default_factory=lambda: deque(maxlen=_FRAME_LOG))
+    _changed: asyncio.Event = field(default_factory=asyncio.Event)
     _trace_cursor: int = 0
 
     # ------------------------------------------------------------------
@@ -419,30 +410,34 @@ class SessionRecord:
             except asyncio.QueueFull:
                 pass  # slow consumer: shed frames, keep the loop live
 
-    def transition(self, state: str, **frame_args) -> None:
-        assert state in _STATES, state
-        self.state = state
-        self.publish({"type": "state", "state": state, **frame_args})
+    def step(self, event: str, **frame_args) -> None:
+        """Apply one :data:`_LIFECYCLE` event (``KeyError`` if it has no
+        row): set ``state``, publish its frame, journal it."""
+        self.state = _LIFECYCLE[(self.state, event)]
+        self.publish({"type": "state", "state": self.state, **frame_args})
         if self.journal is not None:
-            entry = {"kind": "state", "state": state, "seq": self.seq}
-            if self.checkpoint_key:
-                entry["checkpoint"] = self.checkpoint_key
-            if state == "done" and self.metrics is not None:
-                entry["metrics"] = metrics_to_wire(self.metrics)
-                entry["from_cache"] = self.from_cache
-            if state == "failed" and self.error is not None:
-                entry["error"] = self.error
-            self.journal.record(self.id, entry)
-        if self._changed is not None:
-            self._changed.set()
-            self._changed = asyncio.Event()
+            self.journal.record(self.id, self.state_entry())
+        self._changed.set()
+        self._changed = asyncio.Event()
 
-    async def wait_leaving(self, state: str, timeout: float = 30.0) -> str:
+    def state_entry(self) -> dict:
+        """The ``state`` journal entry for the current state."""
+        entry = {"kind": "state", "state": self.state, "seq": self.seq}
+        if self.checkpoint_key:
+            entry["checkpoint"] = self.checkpoint_key
+        if self.state == "done" and self.metrics is not None:
+            entry["metrics"] = metrics_to_wire(self.metrics)
+            entry["from_cache"] = self.from_cache
+        if self.state == "failed" and self.error is not None:
+            entry["error"] = self.error
+        if self.state == "paused" and self.health_paused:
+            entry["cause"] = "health"
+        return entry
+
+    async def wait_leaving(self, state: str, timeout: float = 30.0) -> None:
         """Block until the record's state is not ``state`` (bounded)."""
         deadline = time.monotonic() + timeout
         while self.state == state:
-            if self._changed is None:
-                self._changed = asyncio.Event()
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 break
@@ -451,7 +446,6 @@ class SessionRecord:
                     asyncio.shield(self._changed.wait()), remaining)
             except asyncio.TimeoutError:
                 break
-        return self.state
 
 
 def metrics_to_wire(metrics) -> dict:
@@ -503,7 +497,7 @@ class SessionManager:
             thread_name_prefix="repro-serve",
         )
         self.health = HealthMonitor(self.config)
-        self._fault_mode = False
+        self._recheck: Optional[asyncio.TimerHandle] = None  # next re-test
         self.journal: Optional[SessionJournal] = None
         if self.config.journal:
             self.journal = SessionJournal(
@@ -518,7 +512,7 @@ class SessionManager:
         self._slice_policy = RetryPolicy(
             retries=max(0, self.config.slice_retries),
             backoff_base=self.config.slice_backoff,
-            backoff_cap=self.config.slice_backoff_cap,
+            backoff_cap=_SLICE_BACKOFF_CAP,
             jitter=0.1,
             seed=self.config.retry_seed,
         )
@@ -547,7 +541,6 @@ class SessionManager:
         self._c_mem_lost_tasks = counter("service.membership_lost_tasks")
         self._h_wait = self.metrics.histogram("service.session_wait_s")
         self._h_exec = self.metrics.histogram("service.session_exec_s")
-        self.last_recovery: Optional[dict] = None
 
     # ------------------------------------------------------------------
     # admission helpers
@@ -581,14 +574,11 @@ class SessionManager:
         return f"s{n:04d}-{uuid.uuid4().hex[:8]}"
 
     def _make_record(self, **kwargs) -> SessionRecord:
-        rec = SessionRecord(**kwargs)
-        rec.frame_log = deque(maxlen=max(8, self.config.frame_log))
-        rec.journal = self.journal
-        return rec
+        return SessionRecord(journal=self.journal, **kwargs)
 
     def _gc_done(self) -> None:
-        done = [r for r in self.records.values() if r.state in _TERMINAL]
-        excess = len(done) - self.config.keep_done
+        done = [r for r in self.records.values() if r.state in TERMINAL_STATES]
+        excess = len(done) - _KEEP_DONE
         if excess > 0:
             done.sort(key=lambda r: r.created)
             for rec in done[:excess]:
@@ -633,13 +623,10 @@ class SessionManager:
         :class:`ServiceUnavailable` (503, health machine left ``ok``) —
         the app layer turns those into status codes + Retry-After.
         """
-        self._update_health()
+        state, reasons = self._update_health()
         if self.health.refusing():
             self._c_shed_health.inc()
-            raise ServiceUnavailable(
-                self.health.state,
-                self.health.reasons(self._queued, self.config.queue_depth),
-                self.health.retry_after())
+            raise ServiceUnavailable(state, reasons, self.health.retry_after())
         self._c_submitted.inc()
         self._charge(tenant)
         content = request.content_hash()
@@ -656,14 +643,10 @@ class SessionManager:
             hit = self.result_cache.get(request)
             if hit is not None:
                 self._c_cache_hits.inc()
-                rec = self._make_record(id=self._new_id(), tenant=tenant,
-                                        request=request)
-                rec.state = "done"
-                rec.metrics = hit
-                rec.from_cache = True
-                self._register(rec, {
-                    "kind": "state", "state": "done", "seq": rec.seq,
-                    "metrics": metrics_to_wire(hit), "from_cache": True})
+                rec = self._make_record(
+                    id=self._new_id(), tenant=tenant, request=request,
+                    state="done", metrics=hit, from_cache=True)
+                self._register(rec, rec.state_entry())
                 self._gc_done()
                 return rec
 
@@ -759,43 +742,34 @@ class SessionManager:
         return doc
 
     def _update_health(self) -> tuple[str, list[str]]:
-        """Re-evaluate health and apply its side effects.
-
-        Entering fault mode pauses every running session (they park durably instead of grinding against whatever is
-        broken); leaving it resumes them.  Load-only degradation (a
-        busy queue) has no side effects — admission control already
-        sheds the excess.
-        """
+        """Re-evaluate health; once it clears, resume the sessions it
+        parked.  Parked sessions feed neither fault signal, so while
+        refusing, first re-test both — one journal re-put, and the slice
+        window clears once no session holds a slot — and while any stay
+        parked, re-run ``retry_after()`` seconds after the last call, so
+        nothing needs to probe.  Load-only degradation (a busy queue) has
+        no side effects: admission control already sheds it."""
+        if self.health.refusing():
+            if self.journal is not None:
+                self.journal.retry_failed()
+            if self._running == 0:
+                self.health.slice_window.clear()
         state, reasons = self.health.evaluate(
             self._queued, self.config.queue_depth)
-        faults = self.health.refusing()
-        if faults and not self._fault_mode:
-            self._fault_mode = True
-            for rec in self.records.values():
-                if rec.state == "running" and not rec.pause_requested:
-                    rec.pause_requested = True
-                    rec.health_paused = True
-        elif not faults:
-            self._fault_mode = False
-            stranded = [rec for rec in self.records.values()
-                        if rec.state == "paused" and rec.health_paused]
-            for rec in stranded:
-                rec.health_paused = False
+        parked = [rec.id for rec in self.records.values()
+                  if rec.state == "paused" and rec.health_paused]
+        if not self.health.refusing():
+            for session_id in parked:
                 try:
-                    loop = asyncio.get_running_loop()
-                except RuntimeError:
-                    rec.health_paused = True  # no loop: retry next check
-                    break
-                loop.create_task(self._health_resume(rec.id))
+                    self.resume(session_id)
+                except AdmissionFull:
+                    break  # still parked; the re-test below retries
+        if self._recheck is not None:
+            self._recheck.cancel()
+        if any(self.records[sid].state == "paused" for sid in parked):
+            self._recheck = asyncio.get_running_loop().call_later(
+                self.health.retry_after(), self._update_health)
         return state, reasons
-
-    async def _health_resume(self, session_id: str) -> None:
-        try:
-            await self.resume(session_id)
-        except ServiceError:
-            rec = self.records.get(session_id)
-            if rec is not None and rec.state == "paused":
-                rec.health_paused = True  # could not re-admit yet; retry later
 
     # ------------------------------------------------------------------
     # crash recovery
@@ -803,10 +777,11 @@ class SessionManager:
     def recover(self) -> dict:
         """Replay the journal after a restart (idempotent).
 
-        Terminal sessions come back as queryable records, paused ones
-        keep their checkpoints, and interrupted (queued/running) ones
-        are re-admitted — in their original admission order — resuming
-        from their last auto-checkpoint when one survives, from scratch
+        Terminal sessions come back as queryable records, sessions a
+        client paused keep their checkpoints, and interrupted
+        (queued/running) ones — and the ones the health machine parked —
+        are re-admitted, in their original admission order, resuming
+        from their last checkpoint when one survives, from scratch
         otherwise; either way the completed result is bit-identical to
         an uninterrupted run.  Re-admission bypasses tenant quotas: the
         work was already paid for before the crash.
@@ -817,7 +792,6 @@ class SessionManager:
         summary = {"sessions": 0, "resumed": 0, "restarted": 0,
                    "terminal": 0, "paused": 0, "skipped": 0}
         if self.journal is None:
-            self.last_recovery = summary
             return summary
         max_n = 0
         for doc in self.journal.load_all():
@@ -832,82 +806,72 @@ class SessionManager:
                 summary["skipped"] += 1
                 continue
             summary["sessions"] += 1
+            last = SessionJournal.last_state_entry(doc)
+            state = last.get("state")
+            if state not in TERMINAL_STATES and (
+                    state != "paused" or last.get("cause") == "health"):
+                state = "queued"  # interrupted, or parked by the health rule
             rec = self._make_record(
                 id=sid, tenant=doc.get("tenant") or "public",
-                request=request, parent=doc.get("parent"))
-            # +1 so frames published after recovery stay strictly above
-            # anything a pre-crash subscriber may have seen
-            rec.seq = SessionJournal.last_seq(doc) + 1
-            rec.checkpoint_key = SessionJournal.last_checkpoint(doc)
+                request=request, parent=doc.get("parent"), state=state,
+                metrics=last.get("metrics"), error=last.get("error"),
+                from_cache=bool(last.get("from_cache")),
+                # +1 so frames published after recovery stay strictly
+                # above anything a pre-crash subscriber may have seen
+                seq=SessionJournal.last_seq(doc) + 1,
+                checkpoint_key=SessionJournal.last_checkpoint(doc))
             # registered before launch: its journal is already open
             self.records[sid] = rec
-            terminal = SessionJournal.terminal(doc)
-            if terminal is not None:
-                rec.state = terminal["state"]
-                rec.metrics = terminal.get("metrics")
-                rec.error = terminal.get("error")
-                rec.from_cache = bool(terminal.get("from_cache"))
-                summary["terminal"] += 1
-                continue
-            if SessionJournal.last_state(doc) == "paused":
-                rec.state = "paused"
-                summary["paused"] += 1
+            if state != "queued":
+                summary["terminal" if state in TERMINAL_STATES else "paused"] += 1
                 continue
             # interrupted mid-flight: resume from the checkpoint if its
             # blob survived, restart from scratch if not — both paths
             # are deterministic, so the result is identical either way
-            resume = bool(
-                rec.checkpoint_key
-                and self.store.get(_SESSIONS_NS, rec.checkpoint_key)
-                is not None)
-            if not resume:
+            key = rec.checkpoint_key
+            if key and self.store.get(_SESSIONS_NS, key) is None:
                 rec.checkpoint_key = ""
+            resume = bool(rec.checkpoint_key)
             self._launch(rec, {"kind": "recovered", "resume": resume,
                                "seq": rec.seq}, resume=resume)
             self._c_recovered.inc()
             summary["resumed" if resume else "restarted"] += 1
         self._next_seq = max(self._next_seq, max_n + 1)
-        self.last_recovery = summary
         return summary
 
     # ------------------------------------------------------------------
-    # control-plane verbs
+    # control-plane verbs: look the event up, then apply it
     # ------------------------------------------------------------------
     async def pause(self, session_id: str) -> SessionRecord:
         """Checkpoint at the next slice boundary and park the session."""
         rec = self.get(session_id)
-        if rec.state not in _ACTIVE:
+        if (rec.state, "park") not in _LIFECYCLE:
             raise _conflict(rec, "pause", "while it is queued or running")
         rec.pause_requested = True
-        await rec.wait_leaving("running")
-        if rec.state == "queued":
-            # not started yet: it will observe the flag immediately on start
-            await rec.wait_leaving("queued")
-            await rec.wait_leaving("running")
+        await rec.wait_leaving(rec.state)
         return rec
 
-    async def resume(self, session_id: str) -> SessionRecord:
+    def resume(self, session_id: str) -> SessionRecord:
+        """Re-admit a paused session from its checkpoint."""
         rec = self.get(session_id)
-        if rec.state != "paused":
+        if (rec.state, "resume") not in _LIFECYCLE:
             raise _conflict(rec, "resume", "from the paused state")
         self._admit()
         rec.pause_requested = False
-        rec.health_paused = False
-        rec.transition("queued")
+        rec.step("resume")
         return self._launch(rec, resume=True)
 
     def fork(self, session_id: str, tenant: Optional[str] = None) -> SessionRecord:
         """A new session continuing from a paused session's checkpoint."""
         parent = self.get(session_id)
-        if parent.state != "paused" or not parent.checkpoint_key:
+        if (parent.state, "resume") not in _LIFECYCLE or not parent.checkpoint_key:
             raise _conflict(parent, "fork", "from the paused state")
         tenant = tenant or parent.tenant
         self._charge(tenant)
         self._admit()
         child = self._make_record(
             id=self._new_id(), tenant=tenant, request=parent.request,
-            parent=parent.id)
-        child.checkpoint_key = parent.checkpoint_key
+            parent=parent.id, checkpoint_key=parent.checkpoint_key)
         self._launch(child, {"kind": "checkpoint",
                              "checkpoint": child.checkpoint_key,
                              "seq": child.seq}, resume=True)
@@ -915,16 +879,17 @@ class SessionManager:
         return child
 
     async def cancel(self, session_id: str) -> SessionRecord:
+        """Cancel a session (a no-op on one that already finished)."""
         rec = self.get(session_id)
-        if rec.state in _ACTIVE:
-            rec.cancel_requested = True
-            if rec.state == "queued" and rec.task is not None:
+        if (rec.state, "cancel") not in _LIFECYCLE:
+            return rec
+        rec.cancel_requested = True
+        if rec.state == "running":
+            await rec.wait_leaving("running")
+        else:  # queued or paused: no slice is in flight
+            if rec.task is not None:
                 rec.task.cancel()
-                rec.transition("cancelled")
-            else:
-                await rec.wait_leaving("running")
-        elif rec.state == "paused":
-            rec.transition("cancelled")
+            rec.step("cancel")
         return rec
 
     # ------------------------------------------------------------------
@@ -935,8 +900,9 @@ class SessionManager:
         """Batch execution through the runner's process-pool executor.
 
         This is the coalescing fast path for whole experiment grids: one
-        request, many cells, shared result cache, `jobs` workers.  One
-        grid at a time — a second concurrent grid is shed with 429.
+        request, many cells, shared result cache, `jobs` workers (None:
+        the runner default).  One grid at a time — a second concurrent
+        grid is shed with 429.
         """
         self._charge(tenant, cells=len(requests))
         if self._grid_sem.locked():
@@ -944,7 +910,6 @@ class SessionManager:
             raise AdmissionFull(1, 1)
         async with self._grid_sem:
             loop = asyncio.get_running_loop()
-            jobs = jobs if jobs is not None else self.config.grid_jobs
             report = await loop.run_in_executor(
                 self._pool,
                 lambda: run_requests_report(
@@ -982,39 +947,45 @@ class SessionManager:
                 self._sem.release()
         except asyncio.CancelledError:
             if rec.state in _ACTIVE:
-                rec.transition("cancelled")
+                rec.step("cancel")
             raise
-        except SliceFailure as exc:
-            rec.error = exc.error
-            rec.transition("failed", error=rec.error)
         except Exception as exc:  # noqa: BLE001 - reported to the client
-            rec.error = {"code": "internal",
-                         "message": f"{type(exc).__name__}: {exc}",
-                         "exception": type(exc).__name__}
-            rec.transition("failed", error=rec.error)
+            rec.error = exc.error if isinstance(exc, SliceFailure) else {
+                "code": "internal",
+                "message": f"{type(exc).__name__}: {exc}",
+                "exception": type(exc).__name__}
+            rec.step("fail", error=rec.error)
         finally:
             if self._by_hash.get(rec.request.content_hash()) == rec.id \
                     and rec.state not in _ACTIVE:
                 self._by_hash.pop(rec.request.content_hash(), None)
+        # a freed slot re-tests health (not on cancel: shutdown resumes nothing)
+        self._update_health()
 
     async def _drive(self, rec: SessionRecord, loop, resume: bool) -> None:
-        if rec.cancel_requested:
-            rec.transition("cancelled")
-            return
         rec.session = await self._load_session(rec, loop, strict=resume)
-        if rec.pause_requested and not resume:
-            # paused before it ever ran: checkpoint the prepared state
-            # and park it
-            await self._checkpoint(rec, loop)
-            rec.transition("paused")
-            return
-
-        # queue wait: admission (record creation) → first slice start
-        self._h_wait.observe(max(0.0, time.monotonic() - rec.created))
-        run_started = time.monotonic()
-        rec.transition("running")
         slice_events = max(1, self.config.slice_events)
         while True:
+            # the one slice-boundary check: cancel, park, start/checkpoint
+            if rec.cancel_requested:
+                self._drop_auto_checkpoint(rec)
+                rec.step("cancel")
+                return
+            if rec.pause_requested or self.health.refusing():
+                rec.health_paused = not rec.pause_requested
+                if await self._checkpoint(rec, loop):
+                    rec.step("park", checkpoint=rec.checkpoint_key)
+                    return
+            if rec.state == "queued":
+                # queue wait: admission (record creation) → first slice
+                self._h_wait.observe(max(0.0, time.monotonic() - rec.created))
+                run_started = time.monotonic()
+                rec.step("start")
+            elif (self.journal is not None
+                    and self.config.checkpoint_every_slices > 0
+                    and rec.slices % self.config.checkpoint_every_slices == 0):
+                await self._checkpoint(rec, loop, auto=True)
+
             t0 = time.monotonic()
             e0, _ = rec.session.progress()
             metrics = await self._run_slice(rec, loop, slice_events)
@@ -1039,22 +1010,10 @@ class SessionManager:
                         self.health.note_journal_failure()
                 self._drop_auto_checkpoint(rec)
                 self._h_exec.observe(max(0.0, time.monotonic() - run_started))
-                rec.transition("done")
+                rec.step("finish")
                 rec.publish({"type": "result",
                              "metrics": metrics_to_wire(metrics)})
                 return
-            if rec.cancel_requested:
-                self._drop_auto_checkpoint(rec)
-                rec.transition("cancelled")
-                return
-            if rec.pause_requested:
-                await self._checkpoint(rec, loop)
-                rec.transition("paused", checkpoint=rec.checkpoint_key)
-                return
-            if (self.journal is not None
-                    and self.config.checkpoint_every_slices > 0
-                    and rec.slices % self.config.checkpoint_every_slices == 0):
-                await self._checkpoint(rec, loop, auto=True)
 
     def _note_membership(self, metrics) -> None:
         """Roll a finished run's membership epoch log into the registry.
@@ -1188,15 +1147,17 @@ class SessionManager:
         if rec.request.trace:
             # bounded tracer: live frames only need the tail, and an
             # unbounded record list on a long-running service is a leak
-            sess.tracer = Tracer(max_records=self.config.trace_max_records)
+            sess.tracer = Tracer(max_records=_TRACE_MAX_RECORDS)
         return sess
 
     async def _checkpoint(self, rec: SessionRecord, loop,
-                          auto: bool = False) -> None:
-        """Checkpoint the session into the store and journal it.
+                          auto: bool = False) -> bool:
+        """Checkpoint the session into the store and journal it; returns
+        whether it was written.
 
         Pause checkpoints (``<id>-<slices>``) are fork points: a failed
-        write fails the session.  Auto-checkpoints
+        write fails a client's pause, and the session with it, but a
+        health park that fails runs the session on.  Auto-checkpoints
         (``<id>-auto-<slices>``, ``auto`` in meta and journal) are
         periodic crash-recovery scaffolding: a failed write costs
         recovery granularity, never the running session.  Either kind
@@ -1214,25 +1175,24 @@ class SessionManager:
         except asyncio.CancelledError:
             raise
         except Exception:  # noqa: BLE001 - degrade, don't kill the run
-            if not auto:
+            if not (auto or rec.health_paused):
                 raise
             self.health.note_journal_failure()
-            return
-        old = rec.checkpoint_key
+            return False
+        self._drop_auto_checkpoint(rec)
         rec.checkpoint_key = key
-        if old and "-auto-" in old:
-            self.store.delete(_SESSIONS_NS, old)
         if self.journal is not None:
             self.journal.record(rec.id, {
                 "kind": "checkpoint", "checkpoint": key, **tag,
                 "slices": rec.slices, "events": rec.events_processed,
                 "seq": rec.seq})
+        return True
 
     def _drop_auto_checkpoint(self, rec: SessionRecord) -> None:
-        """Terminal cleanup: auto-checkpoints are recovery scaffolding,
-        not fork points — drop them once the session can't be resumed.
-        (Pause checkpoints, and the auto-checkpoint of a *failed*
-        session — useful for forensics — are kept.)"""
+        """Auto-checkpoints are recovery scaffolding, not fork points —
+        drop one once a newer checkpoint supersedes it or the session
+        can't be resumed.  (Pause checkpoints, and the auto-checkpoint of
+        a *failed* session — useful for forensics — are kept.)"""
         if rec.checkpoint_key and "-auto-" in rec.checkpoint_key:
             self.store.delete(_SESSIONS_NS, rec.checkpoint_key)
             rec.checkpoint_key = ""
@@ -1297,9 +1257,9 @@ class SessionManager:
                     queue.put_nowait(frame)
                 except asyncio.QueueFull:
                     break
-                if _is_terminal_frame(frame):
+                if is_terminal_frame(frame):
                     replayed_terminal = True
-        if rec.state in _TERMINAL and not replayed_terminal:
+        if rec.state in TERMINAL_STATES and not replayed_terminal:
             terminal = {"type": "result" if rec.metrics is not None else "state",
                         "session": rec.id, "state": rec.state,
                         "seq": rec.seq}
@@ -1326,12 +1286,9 @@ class SessionManager:
             task.cancel()
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
+        if self._recheck is not None:
+            self._recheck.cancel()
         self._pool.shutdown(wait=False, cancel_futures=True)
-
-
-def _is_terminal_frame(frame: dict) -> bool:
-    return (frame.get("type") == "result"
-            or frame.get("state") in ("failed", "cancelled"))
 
 
 def _conflict(rec: SessionRecord, verb: str, requirement: str) -> ServiceError:

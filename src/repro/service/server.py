@@ -28,6 +28,7 @@ from .http import (
     WS_OP_PONG,
     HttpError,
     Request,
+    is_terminal_frame,
     json_response,
     read_request,
     ws_accept_key,
@@ -196,13 +197,7 @@ class ReproServer:
                 frame = getter.result()
                 writer.write(ws_encode_frame(frame_bytes(frame)))
                 await writer.drain()
-                # A "result" frame, or a "state" frame for a state that
-                # will never produce one, ends the stream.  (The hello
-                # and the done-state frames are NOT terminal: the result
-                # frame follows them.)
-                if frame.get("type") == "result" or (
-                        frame.get("type") == "state"
-                        and frame.get("state") in ("failed", "cancelled")):
+                if is_terminal_frame(frame):
                     writer.write(ws_encode_frame(b"", opcode=WS_OP_CLOSE))
                     await writer.drain()
                     return

@@ -70,7 +70,6 @@ def test_document_views(store):
     assert terminal is not None
     assert terminal["state"] == "done"
     assert terminal["metrics"] == {"T": 1.0}
-    assert journal.max_admission_index() == 1
 
 
 def test_record_for_unknown_session_is_ignored(store):
@@ -133,3 +132,37 @@ def test_write_failures_are_counted_and_reported_not_raised(store):
     doc = SessionJournal(store).load_all()[0]
     assert SessionJournal.last_seq(doc) == 4
     assert len(doc["entries"]) == 4
+
+
+def test_retry_failed_retests_the_store_with_one_put(tmp_path):
+    """Regression: a re-test re-put every unwritten document, so each
+    health probe against a store still down cost N puts on the event
+    loop and counted N write failures."""
+
+    class Outage(LocalDirStore):
+        down = True
+        puts = 0
+
+        def put(self, ns, key, data):
+            self.puts += 1
+            if self.down:
+                raise OSError("store unavailable")
+            return super().put(ns, key, data)
+
+    store = Outage(tmp_path)
+    errors = []
+    journal = SessionJournal(store, on_write_error=errors.append)
+    for n, sid in enumerate(("s0001-aaaa", "s0002-bbbb", "s0003-cccc"), 1):
+        journal.admit(sid, "tests", _wire(n), n=n)
+    assert (store.puts, journal.write_failures, len(errors)) == (3, 3, 3)
+
+    journal.retry_failed()  # still down: one put, one counted failure
+    assert (store.puts, journal.write_failures, len(errors)) == (4, 4, 4)
+
+    store.down = False
+    journal.retry_failed()  # back: the oldest, then the rest
+    assert store.puts == 7
+    assert [d["id"] for d in SessionJournal(store).load_all()] == [
+        "s0001-aaaa", "s0002-bbbb", "s0003-cccc"]
+    journal.retry_failed()  # nothing left unwritten
+    assert store.puts == 7

@@ -298,6 +298,29 @@ def test_late_subscriber_gets_terminal_replay(server):
     assert frames[-1]["metrics"]["T"] > 0
 
 
+def test_stream_of_a_cancelled_session_ends_with_its_state_frame(tmp_path):
+    """Regression: the client took the ``hello`` frame of a cancelled or
+    failed session for the end of the stream, so ``stream()`` yielded
+    only the hello and never the terminal state frame sent next."""
+    config = ServiceConfig(port=0, max_inflight=1, slice_events=300,
+                           quota_refill=1000.0, quota_tokens=10_000.0,
+                           use_result_cache=False)
+    gate = threading.Event()
+    bg = BackgroundServer(config, store=LocalDirStore(tmp_path)).start()
+    try:
+        bg.server.manager.slice_hook = lambda rec, attempt: gate.wait(30)
+        client = _client(bg)
+        client.submit(_req(seed=63))  # holds the only execution slot
+        sid = client.submit(_req(seed=64))["id"]
+        assert client.cancel(sid)["state"] == "cancelled"
+        frames = list(client.stream(sid, timeout=30))
+        assert [f["type"] for f in frames] == ["hello", "state"]
+        assert frames[-1]["state"] == "cancelled"
+    finally:
+        gate.set()
+        bg.stop()
+
+
 def test_cancel_stops_a_session(server):
     client = _client(server)
     sid = client.submit(_req(seed=62))["id"]
