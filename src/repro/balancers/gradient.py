@@ -148,16 +148,17 @@ class GradientModel(Strategy):
         finally:
             self._emitting[rank] = False
 
-    def on_node_crashed(self, dead: int) -> list[int]:
-        self.nbr_prox[dead].clear()
+    def on_node_removed(self, node: int) -> list[int]:
+        self.nbr_prox[node].clear()
         for rank in self.machine.alive_ranks():
-            if self.nbr_prox[rank].pop(dead, None) is not None:
+            if self.nbr_prox[rank].pop(node, None) is not None:
                 self._refresh_proximity(rank)
         return []
 
-    def on_node_rejoined(self, node: int) -> None:
-        """Re-link the rejoined node with its usable neighbors and let
-        proximity re-propagate from fresh (optimistic zero) estimates."""
+    def on_node_added(self, node: int) -> None:
+        """Link the joined or rejoined node with its usable neighbors and
+        let proximity re-propagate from fresh (optimistic zero)
+        estimates."""
         machine = self.machine
         usable = set(machine.alive_ranks())
         self.nbr_prox[node] = {

@@ -177,18 +177,18 @@ class ReceiverInitiatedDiffusion(Strategy):
         # when any tasks arrive, or on its next load change re-evaluation.
 
     # ------------------------------------------------------------------
-    def on_node_crashed(self, dead: int) -> list[int]:
-        self.nbr_load[dead].clear()
+    def on_node_removed(self, node: int) -> list[int]:
+        self.nbr_load[node].clear()
         for rank in self.machine.alive_ranks():
-            self.nbr_load[rank].pop(dead, None)
+            self.nbr_load[rank].pop(node, None)
             # a requester whose only pending donor died would otherwise
             # wait forever for tasks that can no longer arrive
             self.requesting[rank] = False
         return []
 
-    def on_node_rejoined(self, node: int) -> None:
-        """Re-link the rejoined node with its usable neighbors; its next
-        load change (or theirs) refreshes the estimates."""
+    def on_node_added(self, node: int) -> None:
+        """Link the joined or rejoined node with its usable neighbors;
+        its next load change (or theirs) refreshes the estimates."""
         machine = self.machine
         usable = set(machine.alive_ranks())
         self.nbr_load[node] = {

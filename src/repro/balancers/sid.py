@@ -6,8 +6,9 @@ whose load climbs above ``l_high`` pushes surplus tasks to the
 underloaded part of its neighborhood, proportionally to each neighbor's
 deficit against the neighborhood average.  Sender-initiated schemes do
 well in lightly loaded systems and saturate in heavily loaded ones —
-the opposite profile of RID — which is why we include it in the
-ablation benchmarks even though Table I does not.
+the opposite profile of RID.  Table I does not include it and no
+benchmark constructs it; it is a library strategy
+(``repro.SenderInitiatedDiffusion``) exercised by the tests.
 """
 
 from __future__ import annotations
@@ -137,11 +138,10 @@ class SenderInitiatedDiffusion(Strategy):
             self._pushing[rank] = False
 
     # ------------------------------------------------------------------
-    # elastic membership (SID keeps its deliberately minimal crash
-    # handling; joins and voluntary departures edit the estimate links
-    # directly so diffusion never targets a non-member)
+    # nodes leaving and entering the usable set: edit the estimate links
+    # directly so diffusion never targets a removed node
     # ------------------------------------------------------------------
-    def on_node_joined(self, node: int) -> None:
+    def on_node_added(self, node: int) -> None:
         machine = self.machine
         usable = set(machine.alive_ranks())
         self.nbr_load[node] = {
@@ -150,7 +150,7 @@ class SenderInitiatedDiffusion(Strategy):
             self.nbr_load[j][node] = 0
         self._load_changed(node)
 
-    def on_node_departing(self, node: int) -> list[int]:
+    def on_node_removed(self, node: int) -> list[int]:
         self.nbr_load[node].clear()
         for views in self.nbr_load:
             views.pop(node, None)

@@ -99,9 +99,10 @@ class StaticPreschedule(Strategy):
         self._pools[rank] = []
         w.try_start()
 
-    def on_node_departing(self, node: int) -> list[int]:
-        """Hand back anything still pooled (a leave can race the t=0 plan
-        message); static has no other per-node state to migrate."""
+    def on_node_removed(self, node: int) -> list[int]:
+        """Hand back anything still pooled (a crash or leave can race the
+        t=0 plan message); static has no other per-node state to
+        migrate."""
         handed = list(self._pools[node])
         self._pools[node] = []
         return handed

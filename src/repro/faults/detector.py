@@ -145,7 +145,7 @@ class HeartbeatDetector:
         for peer, view in self.views[rank].items():
             if view.status == DEAD:
                 continue
-            if inj.cross_partition(rank, peer):
+            if not inj.reachable(rank, peer):
                 if view.status != PARTITIONED:
                     view.status = PARTITIONED
                     view.suspectors.clear()

@@ -119,9 +119,8 @@ class FaultInjector:
         #: positive leaves this set again when the node refutes).
         self.detected_dead: set[int] = set()
         self._crash_callbacks: list[Callable[[int], None]] = []
-        self._rejoin_callbacks: list[Callable[[int], None]] = []
         self._membership_callbacks: list[Callable[[str], None]] = []
-        self._joined_callbacks: list[Callable[[int], None]] = []
+        self._added_callbacks: list[Callable[[int], None]] = []
         self._departing_callbacks: list[Callable[[int], int]] = []
         self._undelivered: dict[int, list[tuple[Message, int]]] = {}
         self.counts: dict[str, int] = {
@@ -284,9 +283,6 @@ class FaultInjector:
         lab = self._comp_label
         return lab is None or lab[a] == lab[b]
 
-    def cross_partition(self, a: int, b: int) -> bool:
-        return not self.reachable(a, b)
-
     def components(self) -> list[list[int]]:
         """Current reachability components as ascending rank lists,
         ordered by their smallest member (one full-machine component
@@ -351,22 +347,18 @@ class FaultInjector:
         time under the heartbeat detector)."""
         self._crash_callbacks.append(callback)
 
-    def on_node_rejoined(self, callback: Callable[[int], None]) -> None:
-        """Register a callback fired when a falsely-declared-dead node
-        refutes the declaration and rejoins."""
-        self._rejoin_callbacks.append(callback)
-
     # -- elastic membership -------------------------------------------
     def is_member(self, rank: int) -> bool:
         """True when ``rank`` is in the current membership epoch (always
         true on fixed-membership plans)."""
         return self.membership is None or self.membership.is_member(rank)
 
-    def on_node_joined(self, callback: Callable[[int], None]) -> None:
-        """Register a callback fired when a node is admitted to the
-        member set (at the join epoch commit, before any task can be
-        scheduled onto it)."""
-        self._joined_callbacks.append(callback)
+    def on_node_added(self, callback: Callable[[int], None]) -> None:
+        """Register a callback fired when a node enters the usable set:
+        admitted to the member set (at the join epoch commit, before any
+        task can be scheduled onto it), or rejoining after it refuted a
+        false death declaration."""
+        self._added_callbacks.append(callback)
 
     def on_node_departing(self, callback: Callable[[int], int]) -> None:
         """Register a drain callback fired while a leaving node is still
@@ -380,9 +372,6 @@ class FaultInjector:
         """Undelivered reliable payloads surfaced by ``rank``'s crash.
         One-shot: the caller (the driver) assumes rescue ownership."""
         return self._undelivered.pop(rank, [])
-
-    def is_fenced(self, rank: int) -> bool:
-        return self.machine.nodes[rank].fenced
 
     def quiesce(self) -> None:
         """The workload finished: stop the failure detector's periodic
@@ -479,7 +468,7 @@ class FaultInjector:
         self.note(rank, "rejoin")
         if self.detector is not None:
             self.detector.on_refuted(rank)
-        for callback in self._rejoin_callbacks:
+        for callback in self._added_callbacks:
             callback(rank)
 
     def _stall_begin(self, rank: int) -> None:

@@ -74,7 +74,11 @@ __all__ = [
 #: instead of the ``key`` ordering tuple.
 #: v6: the v3 windowed-execution state (node owner, router hook, meta
 #: partition count) leaves the pickled graph.
-SNAPSHOT_VERSION = 6
+#: v7: one way out of and into the usable set — the injector keeps one
+#: ``_added_callbacks`` list (no ``_rejoin_callbacks``/
+#: ``_joined_callbacks``), bound to the driver's ``_on_node_removed``/
+#: ``_on_node_added`` instead of its four per-cause methods.
+SNAPSHOT_VERSION = 7
 
 _MAGIC = b"repro-snapshot\n"
 

@@ -60,13 +60,13 @@ def _sabotage(sess):
     """The test fixture ISSUE-5 asks for: silently swallow one rescued
     task per crash — a conservation bug the invariants must catch."""
     strat = sess.driver.strategy
-    orig = strat.on_node_crashed
+    orig = strat.on_node_removed
 
     def broken(rank):
         rescued = orig(rank)
         return rescued[1:] if rescued else rescued
 
-    strat.on_node_crashed = broken
+    strat.on_node_removed = broken
 
 
 def test_broken_injector_is_caught_and_shrinks_small():

@@ -2,6 +2,8 @@
 incarnation refutation, fencing, and the fault-timeline observability.
 """
 
+import pytest
+
 from repro.faults import FaultPlan, audit_session
 from repro.session import Session
 
@@ -65,6 +67,31 @@ def test_long_stall_causes_false_suspicion_then_rejoin():
     assert inj.detector.incarnation[3] >= 1
     assert 3 not in inj.detected_dead
     assert not sess.machine.nodes[3].fenced
+    report = audit_session(sess, metrics)
+    assert report.ok, report.summary()
+
+
+@pytest.mark.parametrize("workload,strategy,stall_start", [
+    ("ida-1", "RIPS", 0.002),
+    ("ida-1", "gradient", 0.004),
+    ("ida-2", "RID", 0.008),
+    ("ida-3", "random", 0.004),
+])
+def test_false_death_of_a_pin_holder_loses_nothing(workload, strategy,
+                                                   stall_start):
+    # IDA*'s next-iteration driver task is pinned to rank 0 and waits in
+    # the cross-wave hold.  A false death of rank 0 must hold it for the
+    # refutation, not write it off as pinned-to-crashed: the node never
+    # crashed, so every loss would be unjustified.
+    plan = FaultPlan(seed=1, detector="heartbeat",
+                     stalls=((0, stall_start, 0.020),))
+    sess = Session(workload, strategy=strategy, num_nodes=NODES, seed=7,
+                   scale="small", faults=plan, trace=True)
+    metrics = sess.run()
+    assert sess.machine.faults.counts.get("false_deaths", 0) >= 1
+    assert metrics.extra["lost_tasks"] == 0
+    assert metrics.extra["crashed_nodes"] == []
+    assert 0 in metrics.extra["rejoined_nodes"]
     report = audit_session(sess, metrics)
     assert report.ok, report.summary()
 

@@ -81,7 +81,7 @@ def test_components_and_reachability_track_the_schedule():
 
     def probe():  # mid-cut
         seen["components"] = inj.components()
-        seen["cross"] = (inj.cross_partition(0, 15), inj.cross_partition(0, 7))
+        seen["cross"] = (not inj.reachable(0, 15), not inj.reachable(0, 7))
         seen["reachable"] = inj.reachable(3, 12)
 
     machine.sim.schedule_at(0.003, probe)
