@@ -156,15 +156,19 @@ class Machine:
 
         return restore(snapshot)
 
+    def usable(self, rank: int) -> bool:
+        """Can ``rank`` take part in scheduling right now?  Not
+        fail-stopped, not fenced (a fenced node is falsely declared dead;
+        until it refutes, every protocol must treat it exactly like a
+        crash), and a full member of the current membership epoch
+        (standby/joining/draining/departed nodes never receive tasks,
+        stand for election or count in a quorum)."""
+        n = self.nodes[rank]
+        return not n.crashed and not n.fenced and n.membership == "member"
+
     def alive_ranks(self) -> list[int]:
-        """Ranks usable for scheduling, ascending: not fail-stopped, not
-        fenced (a fenced node is falsely declared dead; until it refutes,
-        every protocol must treat it exactly like a crash), and a full
-        member of the current membership epoch (standby/joining/draining/
-        departed nodes never receive tasks)."""
-        return [n.rank for n in self.nodes
-                if not n.crashed and not n.fenced
-                and n.membership == "member"]
+        """The :meth:`usable` ranks, ascending."""
+        return [r for r in range(self.num_nodes) if self.usable(r)]
 
     def _deliver(self, msg: Message) -> None:
         tr = self.tracer

@@ -38,7 +38,7 @@ __all__ = ["RESULT_CACHE_VERSION", "ResultCache", "result_cache_dir"]
 
 #: Code-version salt baked into every cache key.  Bump on any change that
 #: alters what a given RunRequest would compute.
-RESULT_CACHE_VERSION = 1
+RESULT_CACHE_VERSION = 2
 
 _NS = "results"
 
