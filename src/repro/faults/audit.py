@@ -25,21 +25,17 @@ __all__ = ["ConservationReport", "audit_conservation", "audit_session",
            "executed_task_counts"]
 
 
-def executed_task_counts(records: Iterable[dict]) -> dict[int, int]:
+def executed_task_counts(records: Iterable[tuple]) -> dict[int, int]:
     """Execution count per task id, from raw tracer records.
 
     Counts the completed ``task`` spans named ``task:<id>`` that
     ``balancers.base.Worker`` emits once per executed task.
     """
     counts: dict[int, int] = {}
-    for rec in records:
-        if rec.get("ph") != "X" or rec.get("cat") != "task":
-            continue
-        name = rec.get("name", "")
-        if not name.startswith("task:"):
-            continue
-        tid = int(name[5:])
-        counts[tid] = counts.get(tid, 0) + 1
+    for ph, _node, cat, name, _t, _dur, _args in records:
+        if ph == "X" and cat == "task" and name.startswith("task:"):
+            tid = int(name[5:])
+            counts[tid] = counts.get(tid, 0) + 1
     return counts
 
 
@@ -86,7 +82,7 @@ class ConservationReport:
 
 def audit_conservation(
     trace: WorkloadTrace,
-    records: Iterable[dict],
+    records: Iterable[tuple],
     lost_task_ids: Sequence[int] = (),
     crashed_nodes: Sequence[int] = (),
     counts: Optional[dict[int, int]] = None,

@@ -380,7 +380,7 @@ def _attribution_extra(config: LoadtestConfig) -> dict:
     return {
         "subsystems": subsystem_attribution(tracer),
         "reconcile": reconcile(tracer),
-        "spans": sum(1 for r in tracer.records if r["ph"] == "X"),
+        "spans": sum(1 for r in tracer.records if r[0] == "X"),
     }
 
 

@@ -36,7 +36,6 @@ Span categories
 
 from .tracer import NULL_TRACER, NullTracer, Span, Tracer
 from .export import (
-    trace_to_chrome,
     trace_to_jsonl,
     write_chrome_trace,
     write_jsonl_trace,
@@ -70,7 +69,6 @@ __all__ = [
     "memory_audit",
     "percentile",
     "subsystem_attribution",
-    "trace_to_chrome",
     "trace_to_jsonl",
     "validate_report",
     "write_chrome_trace",

@@ -1,11 +1,10 @@
-"""Per-subsystem time attribution: fold tracer span trees into tables.
+"""Per-subsystem time attribution: fold tracer spans into tables.
 
-The tracer records *flat* completed spans; this module rebuilds the
+The tracer records *flat* completed spans; this module recovers their
 nesting (per ``(node, cat)`` track, by time containment — exactly the
-structure Perfetto infers when it stacks Chrome ``X`` events) and folds
-the resulting forests into flamegraph-style rollups:
+structure Perfetto infers when it stacks Chrome ``X`` events) in one
+sweep per track and folds it into flamegraph-style rollups:
 
-* :func:`build_forest` — spans → list of :class:`Frame` roots per track.
 * :func:`attribution_rollup` — aggregate **self time** (span duration
   minus nested children) by folded stack path, the flamegraph table.
 * :func:`subsystem_attribution` — the coarse per-subsystem split the
@@ -16,31 +15,33 @@ the resulting forests into flamegraph-style rollups:
 * :func:`reconcile` — the audit: Σ self-times must equal Σ root
   durations *exactly*.
 
+The sweep
+---------
+Each track's spans are sorted by ``(start, -dur)`` — a parent before the
+children it contains even when they share a start time, and two spans
+of equal extent in emission order, so the earlier-emitted one is the
+parent.  A stack then assigns each span to the deepest still-open span
+that contains it; a span that straddles its predecessor's end without
+nesting in it starts a new root and clears the stack.  The tracer's
+producers emit properly nested spans per ``(node, cat)``, so in
+practice this is the Chrome semantics.
+
 Exactness
 ---------
 Self time telescopes: ``self(f) = dur(f) − Σ dur(children(f))``, so the
 sum of self over a tree is identically the root's duration.  Float
 addition does not associate, though, so the module does all arithmetic
-in **integer nanoseconds** (simulated time quantized at 1 ns) and
-converts back at the edge; :func:`reconcile` then asserts a 0.0 delta,
-not an epsilon.
-
-Overlapping-but-not-nested spans on one track (A starts, B starts, A
-ends, B ends) cannot form a tree; containment decides, and a span that
-straddles its predecessor's end is treated as a sibling starting where
-it starts.  The tracer's producers emit properly nested spans per
-``(node, cat)``, so in practice this is the Chrome semantics.
+in **integer nanoseconds** (simulated time quantized at 1 ns; a negative
+duration counts as 0) and converts back at the edge; :func:`reconcile`
+then asserts a 0.0 delta, not an epsilon.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 __all__ = [
-    "Frame",
     "attribution_rollup",
-    "build_forest",
     "collapsed_stacks",
     "format_attribution",
     "reconcile",
@@ -68,95 +69,75 @@ SUBSYSTEM_OF_CAT = {
 }
 
 
-def _ns(t: float) -> int:
-    return round(t * _NS)
+def _sweep(tracer) -> tuple[dict[tuple, list], int]:
+    """The containment sweep over every ``(node, cat)`` track.
 
-
-@dataclass
-class Frame:
-    """One span re-nested into its track's containment tree."""
-
-    node: int
-    cat: str
-    name: str
-    start_ns: int
-    dur_ns: int
-    children: list = field(default_factory=list)
-
-    @property
-    def end_ns(self) -> int:
-        return self.start_ns + self.dur_ns
-
-    @property
-    def self_ns(self) -> int:
-        return self.dur_ns - sum(c.dur_ns for c in self.children)
-
-
-def build_forest(tracer) -> list[Frame]:
-    """Re-nest completed spans into containment trees, one forest entry
-    per root span, grouped per ``(node, cat)`` track.
-
-    Sort key ``(start, -dur)`` puts a parent before the children it
-    contains even when they share a start time; a stack then assigns
-    each span to the deepest still-open frame that contains it.
+    Returns ``(stacks, root_ns)``: ``stacks`` maps each stack path
+    ``(cat, root name, …, leaf name)`` to ``[self_ns, total_ns, count]``
+    summed over the spans at that path, where a span's self time is its
+    duration minus its direct children's; ``root_ns`` sums the durations
+    of the root spans on its own.
     """
-    tracks: dict[tuple, list[Frame]] = {}
-    for s in tracer.spans():
-        tracks.setdefault((s.node, s.cat), []).append(
-            Frame(s.node, s.cat, s.name, _ns(s.start), max(_ns(s.dur), 0)))
+    tracks: dict[tuple, list] = {}
+    for seq, (ph, node, cat, name, t, dur, _args) in enumerate(tracer.records):
+        if ph == "X":
+            dur_ns = round(dur * _NS)
+            key = (node, cat)
+            spans = tracks.get(key)
+            if spans is None:
+                spans = tracks[key] = []
+            # sorts by (start, -dur), then emission order; never by name
+            spans.append((round(t * _NS), -dur_ns if dur_ns > 0 else 0, seq, name))
 
-    roots: list[Frame] = []
-    for frames in tracks.values():
-        frames.sort(key=lambda f: (f.start_ns, -f.dur_ns))
-        stack: list[Frame] = []
-        for f in frames:
-            while stack and f.start_ns >= stack[-1].end_ns:
-                stack.pop()
-            if stack and f.end_ns <= stack[-1].end_ns:
-                stack[-1].children.append(f)
+    stacks: dict[tuple, list] = {}
+    root_ns = 0
+    for (_node, cat), spans in tracks.items():
+        spans.sort()
+        # open spans, innermost last: (end_ns, path, aggregate)
+        open_: list[tuple] = []
+        for start, neg_dur, _seq, name in spans:
+            dur = -neg_dur
+            end = start + dur
+            while open_ and start >= open_[-1][0]:
+                open_.pop()
+            if open_ and end <= open_[-1][0]:
+                _end, parent_path, parent = open_[-1]
+                parent[0] -= dur
+                path = parent_path + (name,)
             else:
-                # sibling (or straddler — treated as a new root)
-                stack.clear()
-                roots.append(f)
-            stack.append(f)
-    roots.sort(key=lambda f: (f.node, f.cat, f.start_ns))
-    return roots
-
-
-def _walk(frame: Frame, prefix: tuple, out: dict) -> None:
-    path = prefix + (frame.name,)
-    key = (frame.cat, path)
-    agg = out.get(key)
-    if agg is None:
-        agg = out[key] = {"self_ns": 0, "total_ns": 0, "count": 0}
-    agg["self_ns"] += frame.self_ns
-    agg["total_ns"] += frame.dur_ns
-    agg["count"] += 1
-    for child in frame.children:
-        _walk(child, path, out)
+                open_.clear()
+                root_ns += dur
+                path = (cat, name)
+            agg = stacks.get(path)
+            if agg is None:
+                agg = stacks[path] = [dur, dur, 1]
+            else:
+                agg[0] += dur
+                agg[1] += dur
+                agg[2] += 1
+            open_.append((end, path, agg))
+    return stacks, root_ns
 
 
 def attribution_rollup(tracer) -> list[dict]:
-    """Fold the span forest into per-stack-path aggregates.
+    """Fold the spans into per-stack-path aggregates.
 
     Returns rows ``{"cat", "path", "self_s", "total_s", "count"}``
     sorted by descending self time — the flamegraph table.  ``path`` is
-    the tuple of frame names from root to leaf; ``total_s`` counts a
-    frame's whole duration (so parents ≥ children), ``self_s`` only the
+    the tuple of span names from root to leaf; ``total_s`` counts a
+    span's whole duration (so parents ≥ children), ``self_s`` only the
     un-nested remainder (so Σ self_s over all rows = Σ root durations).
     """
-    agg: dict[tuple, dict] = {}
-    for root in build_forest(tracer):
-        _walk(root, (), agg)
+    stacks, _root_ns = _sweep(tracer)
     rows = [
         {
-            "cat": cat,
-            "path": path,
-            "self_s": a["self_ns"] / _NS,
-            "total_s": a["total_ns"] / _NS,
-            "count": a["count"],
+            "cat": path[0],
+            "path": path[1:],
+            "self_s": self_ns / _NS,
+            "total_s": total_ns / _NS,
+            "count": count,
         }
-        for (cat, path), a in agg.items()
+        for path, (self_ns, total_ns, count) in stacks.items()
     ]
     rows.sort(key=lambda r: (-r["self_s"], r["cat"], r["path"]))
     return rows
@@ -167,12 +148,9 @@ def subsystem_attribution(tracer) -> dict[str, float]:
     snapshot / service / other), in simulated seconds — the shape the
     loadtest report and ``trace --attribution`` table carry."""
     totals_ns: dict[str, int] = {}
-    stack = list(build_forest(tracer))
-    while stack:
-        f = stack.pop()
-        bucket = SUBSYSTEM_OF_CAT.get(f.cat, "other")
-        totals_ns[bucket] = totals_ns.get(bucket, 0) + f.self_ns
-        stack.extend(f.children)
+    for path, (self_ns, _total_ns, _count) in _sweep(tracer)[0].items():
+        bucket = SUBSYSTEM_OF_CAT.get(path[0], "other")
+        totals_ns[bucket] = totals_ns.get(bucket, 0) + self_ns
     return {k: v / _NS for k, v in sorted(totals_ns.items())}
 
 
@@ -181,15 +159,11 @@ def collapsed_stacks(tracer, unit_ns: int = 1) -> str:
     for ``flamegraph.pl`` / speedscope.  Weights are integer nanoseconds
     of self time divided by ``unit_ns`` (leave at 1 for full precision).
     """
-    agg: dict[tuple, dict] = {}
-    for root in build_forest(tracer):
-        _walk(root, (), agg)
     lines = []
-    for (cat, path), a in sorted(agg.items()):
-        weight = a["self_ns"] // unit_ns
-        if weight <= 0:
-            continue
-        lines.append(";".join((cat,) + path) + f" {weight}")
+    for path, (self_ns, _total_ns, _count) in sorted(_sweep(tracer)[0].items()):
+        weight = self_ns // unit_ns
+        if weight > 0:
+            lines.append(f"{';'.join(path)} {weight}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -201,12 +175,8 @@ def reconcile(tracer) -> dict:
     is 0.0 on any trace (the telescoping identity), making it a cheap
     invariant for tests and the loadtest report alike.
     """
-    roots = build_forest(tracer)
-    root_ns = sum(f.dur_ns for f in roots)
-    agg: dict[tuple, dict] = {}
-    for root in roots:
-        _walk(root, (), agg)
-    self_ns = sum(a["self_ns"] for a in agg.values())
+    stacks, root_ns = _sweep(tracer)
+    self_ns = sum(agg[0] for agg in stacks.values())
     return {
         "root_s": root_ns / _NS,
         "self_s": self_ns / _NS,

@@ -1,11 +1,18 @@
 """The tracer: sim-time-stamped spans, counters, and instants.
 
-Records are plain dicts (picklable, JSON-ready) with times in simulated
-seconds; exporters convert units.  Four record shapes:
+Each record is one flat 7-tuple, with times in simulated seconds
+(exporters convert units)::
 
-* complete span — ``{"ph": "X", "node", "cat", "name", "t", "dur", "args"}``
-* instant       — ``{"ph": "i", "node", "cat", "name", "t", "args"}``
-* counter       — ``{"ph": "C", "node", "cat", "name", "t", "value"}``
+    (ph, node, cat, name, t, dur_or_value, args)
+
+* complete span — ``("X", node, cat, name, t, dur, args)``
+* instant       — ``("i", node, cat, name, t, None, args)``
+* counter       — ``("C", node, cat, name, t, value, None)``
+
+``args`` is a dict or ``None``.  Tuples pickle small and compare by
+value, so a tracer carried across a process pool or through a snapshot
+comes back equal; :func:`repro.obs.export.trace_to_jsonl` is the one
+place that renders a record as a keyed dict.
 
 ``begin``/``end`` are stack-matched per ``(node, cat, name)`` — a DES
 protocol opens a span in one event handler and closes it in another, so
@@ -56,8 +63,8 @@ class Tracer:
     enabled = True
 
     def __init__(self, max_records: Optional[int] = None) -> None:
-        #: raw record dicts, in emission order
-        self.records: list[dict] = []
+        #: record tuples (see the module docstring), in emission order
+        self.records: list[tuple] = []
         #: open begin() stacks: (node, cat, name) -> [(start, args), ...]
         self._open: dict[tuple[int, str, str], list] = {}
         #: optional backstop against runaway traces; None = unbounded
@@ -67,7 +74,7 @@ class Tracer:
 
     @classmethod
     def from_records(cls, records, dropped: int = 0) -> "Tracer":
-        """Rehydrate a tracer from raw records (e.g. the
+        """Rehydrate a tracer from record tuples (e.g. the
         ``metrics.extra["trace_records"]`` a runner request carried back
         across a process pool) so the exporters and reports apply."""
         tr = cls()
@@ -78,12 +85,6 @@ class Tracer:
     # ------------------------------------------------------------------
     # emission API
     # ------------------------------------------------------------------
-    def _emit(self, rec: dict) -> None:
-        if self.max_records is not None and len(self.records) >= self.max_records:
-            self.dropped += 1
-            return
-        self.records.append(rec)
-
     def complete(
         self,
         node: int,
@@ -94,10 +95,10 @@ class Tracer:
         args: Optional[dict] = None,
     ) -> None:
         """Emit a finished span (start and duration already known)."""
-        self._emit(
-            {"ph": "X", "node": node, "cat": cat, "name": name,
-             "t": start, "dur": dur, "args": args}
-        )
+        if self.max_records is None or len(self.records) < self.max_records:
+            self.records.append(("X", node, cat, name, start, dur, args))
+        else:
+            self.dropped += 1
 
     def begin(
         self,
@@ -143,17 +144,17 @@ class Tracer:
         args: Optional[dict] = None,
     ) -> None:
         """Emit a zero-duration marker."""
-        self._emit(
-            {"ph": "i", "node": node, "cat": cat, "name": name,
-             "t": t, "args": args}
-        )
+        if self.max_records is None or len(self.records) < self.max_records:
+            self.records.append(("i", node, cat, name, t, None, args))
+        else:
+            self.dropped += 1
 
     def counter(self, node: int, cat: str, name: str, t: float, value: float) -> None:
         """Emit one sample of a time series."""
-        self._emit(
-            {"ph": "C", "node": node, "cat": cat, "name": name,
-             "t": t, "value": value}
-        )
+        if self.max_records is None or len(self.records) < self.max_records:
+            self.records.append(("C", node, cat, name, t, value, None))
+        else:
+            self.dropped += 1
 
     # ------------------------------------------------------------------
     # consumption API
@@ -167,20 +168,17 @@ class Tracer:
 
     def spans(self, cat: Optional[str] = None) -> Iterator[Span]:
         """Iterate completed spans, optionally restricted to one category."""
-        for rec in self.records:
-            if rec["ph"] != "X":
-                continue
-            if cat is not None and rec["cat"] != cat:
-                continue
-            yield Span(rec["node"], rec["cat"], rec["name"], rec["t"],
-                       rec["dur"], rec.get("args"))
+        for ph, node, rcat, name, t, dur, args in self.records:
+            if ph == "X" and (cat is None or rcat == cat):
+                yield Span(node, rcat, name, t, dur, args)
 
     def cpu_seconds(self) -> dict[int, dict[str, float]]:
         """Per-node CPU seconds by cost category, summed from ``cpu`` spans."""
         out: dict[int, dict[str, float]] = {}
-        for s in self.spans("cpu"):
-            per = out.setdefault(s.node, {})
-            per[s.name] = per.get(s.name, 0.0) + s.dur
+        for ph, node, cat, name, _t, dur, _args in self.records:
+            if ph == "X" and cat == "cpu":
+                per = out.setdefault(node, {})
+                per[name] = per.get(name, 0.0) + dur
         return out
 
 

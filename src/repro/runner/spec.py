@@ -321,7 +321,7 @@ def execute_request(req: RunRequest) -> "RunMetrics":
 
 def _attach_trace_extras(metrics: "RunMetrics", tracer) -> "RunMetrics":
     if tracer is not None:
-        # plain dicts: picklable across the pool, identical serial/parallel
+        # flat tuples: picklable across the pool, identical serial/parallel
         metrics.extra["trace_records"] = tracer.records
         metrics.extra["trace_dropped"] = tracer.dropped
     return metrics

@@ -1214,12 +1214,12 @@ class SessionManager:
             rec._trace_cursor = len(records)
             counters: dict[str, float] = {}
             phases: list[dict] = []
-            for r in tail:
-                if r["ph"] == "C":
-                    counters[f"{r['cat']}:{r['name']}"] = r["value"]
-                elif r["ph"] == "X" and r["cat"] == "phase":
-                    phases.append({"name": r["name"], "node": r["node"],
-                                   "t": r["t"], "dur": r["dur"]})
+            for ph, node, cat, name, t, x, _args in tail:
+                if ph == "C":
+                    counters[f"{cat}:{name}"] = x
+                elif ph == "X" and cat == "phase":
+                    phases.append({"name": name, "node": node,
+                                   "t": t, "dur": x})
             frame["trace"] = {
                 "records": len(records),
                 "new": len(tail),

@@ -78,7 +78,10 @@ __all__ = [
 #: ``_added_callbacks`` list (no ``_rejoin_callbacks``/
 #: ``_joined_callbacks``), bound to the driver's ``_on_node_removed``/
 #: ``_on_node_added`` instead of its four per-cause methods.
-SNAPSHOT_VERSION = 7
+#: v8: a traced machine's :class:`~repro.obs.tracer.Tracer` holds its
+#: records as flat ``(ph, node, cat, name, t, dur_or_value, args)``
+#: tuples instead of one dict per record.
+SNAPSHOT_VERSION = 8
 
 _MAGIC = b"repro-snapshot\n"
 

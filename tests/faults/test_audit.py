@@ -16,19 +16,16 @@ def _trace(n: int) -> WorkloadTrace:
     )
 
 
-def _exec_records(*task_ids: int) -> list[dict]:
+def _exec_records(*task_ids: int) -> list[tuple]:
     """One completed ``task`` span per listed id (repeats allowed)."""
-    return [
-        {"ph": "X", "cat": "task", "name": f"task:{tid}", "ts": 0.0, "dur": 1.0}
-        for tid in task_ids
-    ]
+    return [("X", 0, "task", f"task:{tid}", 0.0, 1.0, None) for tid in task_ids]
 
 
 def test_executed_task_counts_ignores_non_task_records():
     records = _exec_records(0, 1, 1) + [
-        {"ph": "X", "cat": "cpu", "name": "task:9"},  # wrong category
-        {"ph": "B", "cat": "task", "name": "task:9"},  # open span, not complete
-        {"ph": "X", "cat": "task", "name": "phase"},  # not a task:<id> span
+        ("X", 0, "cpu", "task:9", 0.0, 1.0, None),  # wrong category
+        ("B", 0, "task", "task:9", 0.0, None, None),  # open span, not complete
+        ("X", 0, "task", "phase", 0.0, 1.0, None),  # not a task:<id> span
     ]
     assert executed_task_counts(records) == {0: 1, 1: 2}
 

@@ -116,12 +116,12 @@ def test_detector_transitions_surface_in_the_tracer():
                      stalls=((3, 0.004, 0.020),))
     sess, _metrics = _run(plan)
     records = sess.tracer.records
-    fault_counters = {r["name"] for r in records
-                      if r.get("ph") == "C" and r.get("cat") == "fault"}
+    fault_counters = {name for ph, _node, cat, name, *_ in records
+                      if ph == "C" and cat == "fault"}
     assert "false_deaths" in fault_counters
     assert "rejoins" in fault_counters
-    instants = {r["name"] for r in records
-                if r.get("ph") == "i" and r.get("cat") == "fault"}
+    instants = {name for ph, _node, cat, name, *_ in records
+                if ph == "i" and cat == "fault"}
     # suspicion, death, fencing, and the rejoin all leave timeline marks
     assert {"hb-suspect", "hb-dead", "fenced", "rejoin"} <= instants
 

@@ -13,7 +13,6 @@ import pytest
 from repro.obs import Tracer
 from repro.obs.attribution import (
     attribution_rollup,
-    build_forest,
     collapsed_stacks,
     format_attribution,
     reconcile,
@@ -34,14 +33,15 @@ def _synthetic_tracer() -> Tracer:
 
 
 def test_forest_nesting_by_containment():
-    roots = build_forest(_synthetic_tracer())
-    assert len(roots) == 2
-    root = next(f for f in roots if f.name == "root")
-    assert [c.name for c in root.children] == ["child"]
-    assert [c.name for c in root.children[0].children] == ["grand"]
+    rows = attribution_rollup(_synthetic_tracer())
+    assert {r["path"] for r in rows} == {
+        ("root",), ("root", "child"), ("root", "child", "grand"),
+        ("other-root",)}
     # self time telescopes: 10 - 3 = 7s on the root, 3 - 1 = 2s on child
-    assert root.self_ns == 7_000_000_000
-    assert root.children[0].self_ns == 2_000_000_000
+    weights = dict(line.rsplit(" ", 1) for line in
+                   collapsed_stacks(_synthetic_tracer()).splitlines())
+    assert weights["cpu;root"] == "7000000000"
+    assert weights["cpu;root;child"] == "2000000000"
 
 
 def test_rollup_sums_equal_span_sums():

@@ -44,9 +44,8 @@ class TestRIPSTrace:
         names = {s.name for s in tr.spans("phase")}
         assert {"init", "gather", "plan", "transfer"} <= names
         # resume is an instant, one per node per completed phase
-        resumes = [r for r in tr.records
-                   if r["ph"] == "i" and r["cat"] == "phase"
-                   and r["name"] == "resume"]
+        resumes = [t for ph, _node, cat, name, t, *_ in tr.records
+                   if (ph, cat, name) == ("i", "phase", "resume")]
         assert resumes
 
     def test_task_spans_match_task_count(self, traced):

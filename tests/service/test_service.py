@@ -12,6 +12,7 @@ import threading
 
 import pytest
 
+from repro.obs.export import trace_to_jsonl
 from repro.runner import RunRequest
 from repro.service import ServiceClient, ServiceClientError, ServiceConfig
 from repro.service.manager import metrics_to_wire
@@ -72,6 +73,26 @@ def test_submit_stream_result_matches_direct_run(server):
     served = frames[-1]["metrics"]
     assert json.dumps(served, sort_keys=True) == \
         json.dumps(direct, sort_keys=True)
+
+
+def test_traced_progress_frames_summarise_each_slice(server):
+    req = _req(trace=True)
+    direct = Session.from_request(req)
+    direct.run()
+    view = [json.loads(line) for line in trace_to_jsonl(direct.tracer)]
+
+    client = _client(server)
+    frames = list(client.stream(client.submit(req)["id"], timeout=120))
+    blocks = [f["trace"] for f in frames if f["type"] == "progress"]
+    assert blocks
+    for block in blocks:
+        assert 0 < block["records"] <= len(view) and block["dropped"] == 0
+        new = view[block["records"] - block["new"]:block["records"]]
+        assert block["counters"] == {
+            f"{r['cat']}:{r['name']}": r["value"] for r in new if r["ph"] == "C"}
+        assert block["phases"] == [
+            {"name": r["name"], "node": r["node"], "t": r["t"], "dur": r["dur"]}
+            for r in new if r["ph"] == "X" and r["cat"] == "phase"][-8:]
 
 
 def test_status_and_listing(server):
