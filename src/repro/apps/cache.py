@@ -77,9 +77,14 @@ def cached_trace(
     # unique tmp per writer: parallel grid workers may build the same trace
     # concurrently, and a shared tmp path would interleave their writes
     tmp = Path(f"{path}.{os.getpid()}.tmp")
-    with tmp.open("wb") as fh:
-        pickle.dump(trace, fh, protocol=pickle.HIGHEST_PROTOCOL)
-    tmp.replace(path)
+    try:
+        with tmp.open("wb") as fh:
+            pickle.dump(trace, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        tmp.replace(path)
+    finally:
+        # a failed write (disk full, Ctrl-C) must not leave an orphan
+        # that neither `cache stats` nor `cache clear` can see
+        tmp.unlink(missing_ok=True)
     return trace
 
 

@@ -35,6 +35,9 @@ __all__ = ["GromosConfig", "gromos_trace", "pair_counts"]
 #: (~57 s => ~11 ms per charge-group task on average).
 SEC_PER_PAIR = 170e-6
 
+#: most (group, atom) pairs one distance block of ``pair_counts`` holds
+_BLOCK_PAIRS = 1 << 16
+
 
 @dataclass(frozen=True)
 class GromosConfig:
@@ -65,6 +68,11 @@ def pair_counts(mol: Molecule, cutoff: float, periodic: bool = True) -> np.ndarr
     ``periodic`` (the default, as in a real solvated MD box) distances
     use the minimum-image convention, so there is no artificial density
     falloff at the box faces.
+
+    The distances are taken one cell block at a time: every charge group
+    centred in one cell against every atom of that cell's neighbour
+    cells, in chunks of at most ``_BLOCK_PAIRS`` pairs so that a dense
+    cell at a large cutoff does not allocate one huge temporary.
     """
     centers = mol.group_centers()
     pos = mol.positions
@@ -93,23 +101,31 @@ def pair_counts(mol: Molecule, cutoff: float, periodic: bool = True) -> np.ndarr
             return sorted({(c + d) % ncell for d in (-1, 0, 1)})
         return list(range(max(c - 1, 0), min(c + 2, ncell)))
 
-    for g in range(centers.shape[0]):
-        cx, cy, cz = ccell[g]
-        total = 0
-        for x in cell_range(cx):
-            for y in cell_range(cy):
-                for z in cell_range(cz):
-                    key = (x * ncell + y) * ncell + z
-                    s, e = starts[key], ends[key]
-                    if s == e:
-                        continue
-                    d = sorted_pos[s:e] - centers[g]
-                    if periodic:
-                        d -= box * np.round(d / box)
-                    total += int(np.count_nonzero(
-                        (d * d).sum(axis=1) <= c2
-                    ))
-        counts[g] = total
+    gkey = (ccell[:, 0] * ncell + ccell[:, 1]) * ncell + ccell[:, 2]
+    gorder = np.argsort(gkey, kind="stable")
+    first = np.unique(gkey[gorder], return_index=True)[1]
+    last = np.append(first[1:], gorder.size)
+    # one block per occupied centre cell; gorder[lo:hi] are its groups
+    for lo, hi in zip(first.tolist(), last.tolist()):
+        cx, cy, cz = ccell[gorder[lo]]
+        keys = [(x * ncell + y) * ncell + z
+                for x in cell_range(cx)
+                for y in cell_range(cy)
+                for z in cell_range(cz)]
+        near = np.concatenate([sorted_pos[starts[k]:ends[k]] for k in keys])
+        step = max(1, _BLOCK_PAIRS // max(len(near), 1))
+        for s in range(lo, hi, step):
+            groups = gorder[s:min(s + step, hi)]
+            # bitwise the per-pair arithmetic of d -= box * np.round(d /
+            # box) and (d * d).sum(axis=1) <= c2, so no count can move
+            d = near[None, :, :] - centers[groups][:, None, :]
+            if periodic:
+                t = d / box
+                np.round(t, out=t)
+                t *= box
+                d -= t
+            np.multiply(d, d, out=d)
+            counts[groups] = np.count_nonzero(d.sum(axis=2) <= c2, axis=1)
     return counts
 
 

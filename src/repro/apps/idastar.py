@@ -37,7 +37,7 @@ from typing import Optional
 
 from repro.tasks.trace import TraceTask, WorkloadTrace
 from .cache import cached_trace
-from .puzzle import GOAL, SIDE, _GOAL_POS, _MOVES, manhattan, random_walk_instance
+from .puzzle import SIDE, _GOAL_POS, _MOVES, manhattan, random_walk_instance
 
 __all__ = ["IDAStarConfig", "PAPER_CONFIGS", "idastar_trace", "ida_star_sequential"]
 
@@ -50,6 +50,14 @@ SEC_PER_VISIT = 6e-6
 #: beyond it a subtree is searched in one task even if it exceeds the
 #: budget (runaway fragmentation guard)
 SPLIT_DEPTH_LIMIT = 28
+
+#: ``_DIST[tile][cell]``: Manhattan distance of ``tile`` on ``cell`` from
+#: its goal cell, so a slide updates the heuristic with two lookups
+_DIST = tuple(
+    tuple(abs(r - gr) + abs(c - gc)
+          for r, c in (divmod(cell, SIDE) for cell in range(SIDE * SIDE)))
+    for gr, gc in (_GOAL_POS[tile] for tile in range(SIDE * SIDE))
+)
 
 
 @dataclass(frozen=True)
@@ -81,38 +89,39 @@ PAPER_CONFIGS: dict[int, IDAStarConfig] = {
 
 
 def _bounded_dfs(board: tuple[int, ...], g: int, h: int, threshold: int,
-                 prev_blank: int) -> tuple[int, float, bool]:
+                 prev_blank: int) -> tuple[int, int, bool]:
     """Cost-bounded DFS.  Returns (min_exceed, visits, found).
 
     ``min_exceed`` is the smallest f that crossed the threshold (the
     next iteration's threshold candidate), or a large sentinel if the
     subtree was exhausted.
     """
+    return _count(list(board), board.index(0), g, h, threshold, prev_blank)
+
+
+def _count(lst: list[int], blank: int, g: int, h: int, threshold: int,
+           prev_blank: int) -> tuple[int, int, bool]:
+    """:func:`_bounded_dfs` on one mutable board whose blank is at
+    ``blank``; each move is made and unmade in place."""
     visits = 1
     if h == 0:
         return threshold, visits, True
     min_exceed = 1 << 30
-    blank = board.index(0)
-    lst = list(board)
     for dest in _MOVES[blank]:
         if dest == prev_blank:
             continue
         tile = lst[dest]
-        gr, gc = _GOAL_POS[tile]
         # incremental Manhattan update for sliding `tile` into `blank`
-        dr, dc = divmod(dest, SIDE)
-        br, bc = divmod(blank, SIDE)
-        old_d = abs(dr - gr) + abs(dc - gc)
-        new_d = abs(br - gr) + abs(bc - gc)
-        nh = h - old_d + new_d
+        dist = _DIST[tile]
+        nh = h - dist[dest] + dist[blank]
         nf = g + 1 + nh
         if nf > threshold:
             if nf < min_exceed:
                 min_exceed = nf
             continue
         lst[blank], lst[dest] = tile, 0
-        sub_exceed, sub_visits, found = _bounded_dfs(
-            tuple(lst), g + 1, nh, threshold, blank
+        sub_exceed, sub_visits, found = _count(
+            lst, dest, g + 1, nh, threshold, blank
         )
         lst[dest], lst[blank] = tile, 0
         visits += sub_visits
@@ -162,38 +171,41 @@ def _annotated_dfs(board: tuple[int, ...], g: int, h: int, threshold: int,
     """Cost-bounded DFS that keeps per-child subtree sizes down to
     ``depth_budget`` plies (one pass; below the budget it degenerates to
     the plain counting DFS)."""
+    return _annotate(list(board), board.index(0), g, h, threshold,
+                     prev_blank, depth_budget, split_budget)
+
+
+def _annotate(lst: list[int], blank: int, g: int, h: int, threshold: int,
+              prev_blank: int, depth_budget: int,
+              split_budget: int) -> _Annotated:
+    """:func:`_annotated_dfs` on one mutable board, like :func:`_count`."""
     node = _Annotated()
     if h == 0:
         node.exceed = threshold
         node.found = True
         return node
-    blank = board.index(0)
-    lst = list(board)
     children: list[_Annotated] = []
     for dest in _MOVES[blank]:
         if dest == prev_blank:
             continue
         tile = lst[dest]
-        gr, gc = _GOAL_POS[tile]
-        dr, dc = divmod(dest, SIDE)
-        br, bc = divmod(blank, SIDE)
-        nh = h - (abs(dr - gr) + abs(dc - gc)) + (abs(br - gr) + abs(bc - gc))
+        dist = _DIST[tile]
+        nh = h - dist[dest] + dist[blank]
         nf = g + 1 + nh
         if nf > threshold:
             if nf < node.exceed:
                 node.exceed = nf
             continue
         lst[blank], lst[dest] = tile, 0
-        child_board = tuple(lst)
-        lst[dest], lst[blank] = tile, 0
         if depth_budget > 1:
-            child = _annotated_dfs(child_board, g + 1, nh, threshold, blank,
-                                   depth_budget - 1, split_budget)
+            child = _annotate(lst, dest, g + 1, nh, threshold, blank,
+                              depth_budget - 1, split_budget)
         else:
             child = _Annotated()
-            child.exceed, child.visits, child.found = _bounded_dfs(
-                child_board, g + 1, nh, threshold, blank
+            child.exceed, child.visits, child.found = _count(
+                lst, dest, g + 1, nh, threshold, blank
             )
+        lst[dest], lst[blank] = tile, 0
         children.append(child)
         node.visits += child.visits
         node.found = node.found or child.found

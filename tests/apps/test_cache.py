@@ -76,6 +76,18 @@ def test_corrupt_pickle_rebuilds(cache_dir):
     assert again.name == "x"
 
 
+def test_failed_write_leaves_no_temp_file(cache_dir, monkeypatch):
+    import repro.apps.cache as cache_mod
+
+    def disk_full(*args, **kwargs):
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(cache_mod.pickle, "dump", disk_full)
+    with pytest.raises(OSError, match="No space left"):
+        cached_trace("tiny", {"n": 9}, lambda: _tiny_trace("x"))
+    assert list(cache_dir.iterdir()) == []
+
+
 def test_stats_and_clear(cache_dir):
     cached_trace("tiny", {"n": 7}, lambda: _tiny_trace("x"))
     stats = trace_cache_stats()
