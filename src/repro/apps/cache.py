@@ -1,7 +1,7 @@
 """Disk cache for workload traces.
 
-Generating a trace means actually running the application (solving
-14-Queens takes ~10 s of real CPU), but the trace is a pure function of
+Generating a trace means actually running the application (counting
+15-Queens takes ~10 s of real CPU), but the trace is a pure function of
 the application parameters — so we pickle it once and reuse it across
 strategies, machine sizes, test runs, and benchmark runs.  The cache
 directory defaults to ``<repo>/.trace_cache`` and can be moved with the

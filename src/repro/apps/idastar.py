@@ -52,11 +52,24 @@ SEC_PER_VISIT = 6e-6
 SPLIT_DEPTH_LIMIT = 28
 
 #: ``_DIST[tile][cell]``: Manhattan distance of ``tile`` on ``cell`` from
-#: its goal cell, so a slide updates the heuristic with two lookups
+#: its goal cell
 _DIST = tuple(
     tuple(abs(r - gr) + abs(c - gc)
           for r, c in (divmod(cell, SIDE) for cell in range(SIDE * SIDE)))
     for gr, gc in (_GOAL_POS[tile] for tile in range(SIDE * SIDE))
+)
+
+#: ``_SUCC[blank][prev_blank + 1]``: the moves ``(dest, delta)`` of a blank
+#: on ``blank`` that do not undo the last one; sliding ``tile`` from
+#: ``dest`` into the blank changes the heuristic by ``delta[tile]``.  Each
+#: move is one tuple, shared by every ``prev_blank``.
+_SUCC = tuple(
+    tuple(tuple(move for move in moves if move[0] != prev)
+          for prev in range(-1, SIDE * SIDE))
+    for moves in (
+        [(dest, tuple(dist[blank] - dist[dest] for dist in _DIST))
+         for dest in _MOVES[blank]]
+        for blank in range(SIDE * SIDE))
 )
 
 
@@ -107,21 +120,18 @@ def _count(lst: list[int], blank: int, g: int, h: int, threshold: int,
     if h == 0:
         return threshold, visits, True
     min_exceed = 1 << 30
-    for dest in _MOVES[blank]:
-        if dest == prev_blank:
-            continue
+    g += 1
+    for dest, delta in _SUCC[blank][prev_blank + 1]:
         tile = lst[dest]
-        # incremental Manhattan update for sliding `tile` into `blank`
-        dist = _DIST[tile]
-        nh = h - dist[dest] + dist[blank]
-        nf = g + 1 + nh
+        nh = h + delta[tile]
+        nf = g + nh
         if nf > threshold:
             if nf < min_exceed:
                 min_exceed = nf
             continue
         lst[blank], lst[dest] = tile, 0
         sub_exceed, sub_visits, found = _count(
-            lst, dest, g + 1, nh, threshold, blank
+            lst, dest, g, nh, threshold, blank
         )
         lst[dest], lst[blank] = tile, 0
         visits += sub_visits
@@ -153,72 +163,91 @@ def ida_star_sequential(board: tuple[int, ...], max_iterations: int = 60
     raise RuntimeError("max_iterations exceeded")
 
 
-class _Annotated:
-    """A shallow annotated node of one iteration's search tree."""
-
-    __slots__ = ("visits", "children", "exceed", "found")
-
-    def __init__(self) -> None:
-        self.visits = 1
-        self.children: Optional[list["_Annotated"]] = None
-        self.exceed = 1 << 30
-        self.found = False
+#: one iteration's search tree, as the annotated search returns it:
+#: ``(visits, exceed, found, children)``, where ``children`` lists the
+#: successors' skeletons only for a subtree above the split budget and is
+#: ``None`` otherwise
+_Skeleton = tuple[int, int, bool, Optional[list["_Skeleton"]]]
 
 
 def _annotated_dfs(board: tuple[int, ...], g: int, h: int, threshold: int,
                    prev_blank: int, depth_budget: int,
-                   split_budget: int) -> _Annotated:
+                   split_budget: int) -> _Skeleton:
     """Cost-bounded DFS that keeps per-child subtree sizes down to
     ``depth_budget`` plies (one pass; below the budget it degenerates to
     the plain counting DFS)."""
-    return _annotate(list(board), board.index(0), g, h, threshold,
+    return _skeleton(list(board), board.index(0), g, h, threshold,
                      prev_blank, depth_budget, split_budget)
 
 
-def _annotate(lst: list[int], blank: int, g: int, h: int, threshold: int,
+def _skeleton(lst: list[int], blank: int, g: int, h: int, threshold: int,
               prev_blank: int, depth_budget: int,
-              split_budget: int) -> _Annotated:
+              split_budget: int) -> _Skeleton:
     """:func:`_annotated_dfs` on one mutable board, like :func:`_count`."""
-    node = _Annotated()
     if h == 0:
-        node.exceed = threshold
-        node.found = True
-        return node
-    children: list[_Annotated] = []
-    for dest in _MOVES[blank]:
-        if dest == prev_blank:
-            continue
+        return 1, threshold, True, None
+    visits = 1
+    exceed = 1 << 30
+    found = False
+    children: list[_Skeleton] = []
+    g += 1
+    for dest, delta in _SUCC[blank][prev_blank + 1]:
         tile = lst[dest]
-        dist = _DIST[tile]
-        nh = h - dist[dest] + dist[blank]
-        nf = g + 1 + nh
+        nh = h + delta[tile]
+        nf = g + nh
         if nf > threshold:
-            if nf < node.exceed:
-                node.exceed = nf
+            if nf < exceed:
+                exceed = nf
             continue
         lst[blank], lst[dest] = tile, 0
         if depth_budget > 1:
-            child = _annotate(lst, dest, g + 1, nh, threshold, blank,
+            child = _skeleton(lst, dest, g, nh, threshold, blank,
                               depth_budget - 1, split_budget)
         else:
-            child = _Annotated()
-            child.exceed, child.visits, child.found = _count(
-                lst, dest, g + 1, nh, threshold, blank
-            )
+            sub_exceed, sub_visits, sub_found = _count(
+                lst, dest, g, nh, threshold, blank)
+            child = (sub_visits, sub_exceed, sub_found, None)
         lst[dest], lst[blank] = tile, 0
         children.append(child)
-        node.visits += child.visits
-        node.found = node.found or child.found
-        if child.exceed < node.exceed:
-            node.exceed = child.exceed
-        if node.found:
+        visits += child[0]
+        if child[1] < exceed:
+            exceed = child[1]
+        if child[2]:
+            found = True
             break
-    # memory guard: a subtree at or below the split budget becomes one
-    # task anyway, so its internal annotation is dead weight — dropping
-    # it here keeps the retained skeleton at O(total_visits / budget)
+    # a subtree at or below the split budget becomes one task, so its
+    # successors are dropped: the skeleton keeps O(total_visits / budget)
     # nodes instead of O(total_visits)
-    node.children = None if node.visits <= split_budget else children
-    return node
+    return visits, exceed, found, children if visits > split_budget else None
+
+
+def _emit(node: _Skeleton, wave: int, tasks: list[TraceTask]) -> int:
+    """Append the task (sub)tree of a skeleton node to ``tasks``; returns
+    the id of its root task."""
+    tid = len(tasks)
+    tasks.append(None)  # type: ignore[arg-type]  # placeholder
+    visits, _, _, children = node
+    if not children:
+        tasks[tid] = TraceTask(
+            tid, work=float(visits), wave=wave, label="ida-search",
+        )
+    else:
+        child_ids = _emit_children(children, wave, tasks)
+        tasks[tid] = TraceTask(
+            tid, work=float(1 + len(child_ids)), wave=wave,
+            children=child_ids, label="ida-expand",
+        )
+    return tid
+
+
+def _emit_children(children: list[_Skeleton], wave: int,
+                   tasks: list[TraceTask]) -> tuple[int, ...]:
+    """:func:`_emit` each child, then empty the list: a subtree's
+    skeleton is freed once its tasks exist, so the two never peak
+    together."""
+    ids = tuple(_emit(c, wave, tasks) for c in children)
+    children.clear()
+    return ids
 
 
 def _build(config: IDAStarConfig) -> WorkloadTrace:
@@ -233,40 +262,18 @@ def _build(config: IDAStarConfig) -> WorkloadTrace:
     for wave in range(config.max_iterations):
         root = _annotated_dfs(board, 0, h0, threshold, -1, SPLIT_DEPTH_LIMIT,
                               budget)
-        found = root.found
+        _, exceed, found, root_children = root
 
         driver_id = len(tasks)
         tasks.append(None)  # type: ignore[arg-type]  # placeholder
 
-        def emit(node: _Annotated, wave: int) -> int:
-            """Emit the task (sub)tree for an annotated node; returns id."""
-            tid = len(tasks)
-            tasks.append(None)  # type: ignore[arg-type]
-            if node.visits <= budget or not node.children:
-                tasks[tid] = TraceTask(
-                    tid, work=float(node.visits), wave=wave,
-                    label="ida-search",
-                )
-            else:
-                child_ids = tuple(emit(c, wave) for c in node.children)
-                tasks[tid] = TraceTask(
-                    tid, work=float(1 + len(child_ids)), wave=wave,
-                    children=child_ids, label="ida-expand",
-                )
-            return tid
-
         # the driver owns the iteration root's expansion; its children
         # are the root's successors (or, for a tiny iteration, a single
         # search task covering the whole tree)
-        if root.visits <= budget or not root.children:
-            leaf_id = len(tasks)
-            tasks.append(
-                TraceTask(leaf_id, work=float(root.visits), wave=wave,
-                          label="ida-search")
-            )
-            search_ids = (leaf_id,)
+        if root_children:
+            search_ids = _emit_children(root_children, wave, tasks)
         else:
-            search_ids = tuple(emit(c, wave) for c in root.children)
+            search_ids = (_emit(root, wave, tasks),)
         tasks[driver_id] = TraceTask(
             driver_id,
             work=float(1 + len(search_ids)),
@@ -286,9 +293,9 @@ def _build(config: IDAStarConfig) -> WorkloadTrace:
         prev_driver = driver_id
         if found:
             break
-        if root.exceed >= (1 << 30):
+        if exceed >= (1 << 30):
             raise RuntimeError("search space exhausted without a solution")
-        threshold = root.exceed
+        threshold = exceed
     else:
         raise RuntimeError("max_iterations exceeded while building IDA* trace")
 

@@ -1,9 +1,11 @@
 """Reference implementations for the trace-kernel equality tests.
 
-This is the per-group cell-list loop of ``pair_counts`` and the
-tuple-board ``_bounded_dfs`` / ``_annotated_dfs`` that preceded the
-cell-block distance blocks in :mod:`repro.apps.gromos` and the one
-mutable board in :mod:`repro.apps.idastar`, copied verbatim.
+This is the per-group cell-list loop of ``pair_counts``, the
+tuple-board ``_bounded_dfs`` / ``_annotated_dfs`` with their
+``_Annotated`` nodes, and the recursive ``solve_queens`` that preceded
+the cell-block distance blocks in :mod:`repro.apps.gromos`, the one
+mutable board and tuple skeleton in :mod:`repro.apps.idastar` and the
+level-by-level counter in :mod:`repro.apps.nqueens`, copied verbatim.
 ``tests/apps/test_reference_equality.py`` runs this module and the real
 one on the same inputs and asserts that every pair count and every
 search result is equal.  Nothing outside the tests imports it.
@@ -182,3 +184,26 @@ def _annotated_dfs(board: tuple[int, ...], g: int, h: int, threshold: int,
     # nodes instead of O(total_visits)
     node.children = None if node.visits <= split_budget else children
     return node
+
+
+def solve_queens(n: int, cols: int = 0, d1: int = 0, d2: int = 0) -> tuple[int, int]:
+    """Count solutions and node visits of the subtree rooted at a partial
+    placement (bitmask state).  Returns ``(solutions, visits)``."""
+    full = (1 << n) - 1
+    sols = 0
+    visits = 0
+
+    def rec(c: int, l: int, r: int) -> None:
+        nonlocal sols, visits
+        visits += 1
+        if c == full:
+            sols += 1
+            return
+        free = full & ~(c | l | r)
+        while free:
+            bit = free & -free
+            free ^= bit
+            rec(c | bit, ((l | bit) << 1) & full, (r | bit) >> 1)
+
+    rec(cols, d1, d2)
+    return sols, visits

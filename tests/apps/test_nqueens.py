@@ -3,13 +3,15 @@
 import pytest
 
 from repro.apps.nqueens import (
+    MAX_N,
     QueensConfig,
     count_solutions,
     nqueens_trace,
     solve_queens,
 )
 
-KNOWN_SOLUTIONS = {1: 1, 2: 0, 3: 0, 4: 2, 5: 10, 6: 4, 7: 40, 8: 92, 9: 352, 10: 724}
+KNOWN_SOLUTIONS = {1: 1, 2: 0, 3: 0, 4: 2, 5: 10, 6: 4, 7: 40, 8: 92, 9: 352, 10: 724,
+                   11: 2680, 12: 14200}
 
 
 @pytest.mark.parametrize("n,expected", sorted(KNOWN_SOLUTIONS.items()))
@@ -77,6 +79,11 @@ def test_config_validation():
         QueensConfig(n=0)
     with pytest.raises(ValueError):
         QueensConfig(n=5, split_depth=9)
+    # the fixed-width masks hold no wider board
+    with pytest.raises(ValueError):
+        QueensConfig(n=MAX_N + 1)
+    with pytest.raises(ValueError):
+        solve_queens(MAX_N + 1)
 
 
 def test_full_depth_split():

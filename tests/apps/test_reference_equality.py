@@ -1,18 +1,21 @@
 """The trace kernels against the implementations they replaced.
 
-``_reference`` holds the per-group ``pair_counts`` loop and the
-tuple-board IDA* searches verbatim.  The cell-block distances and the
-one mutable board must give exactly the same pair counts and the same
-search results, so that every trace built from them is unchanged.
+``_reference`` holds the per-group ``pair_counts`` loop, the
+tuple-board IDA* searches and the recursive N-Queens solver verbatim.
+The cell-block distances, the one mutable board with its tuple skeleton
+and the level-by-level subtree counter must give exactly the same pair
+counts, search results and per-task counts, so that every trace built
+from them is unchanged.
 """
 
 import numpy as np
 import pytest
 
-from repro.apps import gromos
+from repro.apps import gromos, nqueens
 from repro.apps.gromos import pair_counts
 from repro.apps.idastar import SPLIT_DEPTH_LIMIT, _annotated_dfs, _bounded_dfs
 from repro.apps.molecule import synthetic_sod
+from repro.apps.nqueens import _subtree_counts, nqueens_trace, solve_queens
 from repro.apps.puzzle import GOAL, manhattan, random_walk_instance
 from repro.experiments.common import _gromos_kwargs
 
@@ -59,13 +62,16 @@ BOARDS = [random_walk_instance(steps, seed)
           for steps, seed in [(12, 5), (20, 1), (30, 2), (40, 11), (44, 23)]]
 
 
-def same_skeleton(a, b) -> bool:
-    if (a.visits, a.exceed, a.found) != (b.visits, b.exceed, b.found):
+def same_skeleton(node, want) -> bool:
+    """The skeleton tuple ``node`` equals the reference ``_Annotated``
+    ``want`` in every field, recursively."""
+    visits, exceed, found, children = node
+    if (visits, exceed, found) != (want.visits, want.exceed, want.found):
         return False
-    if a.children is None or b.children is None:
-        return a.children is b.children
-    return (len(a.children) == len(b.children)
-            and all(same_skeleton(x, y) for x, y in zip(a.children, b.children)))
+    if children is None or want.children is None:
+        return children is None and want.children is None
+    return (len(children) == len(want.children)
+            and all(same_skeleton(x, y) for x, y in zip(children, want.children)))
 
 
 def thresholds(board):
@@ -108,3 +114,54 @@ def test_search_below_the_root_equals_reference():
         assert _bounded_dfs(*args) == ref._bounded_dfs(*args)
         assert same_skeleton(_annotated_dfs(*args, 4, 40),
                              ref._annotated_dfs(*args, 4, 40))
+
+
+def queens_frontier(n, depth):
+    """The placements of the first ``depth`` queens, lowest column
+    first: the states of ``nqueens_trace``'s solver tasks, in id order."""
+    full = (1 << n) - 1
+    states = [(0, 0, 0)]
+    for _ in range(depth):
+        nxt = []
+        for c, d1, d2 in states:
+            free = full & ~(c | d1 | d2)
+            while free:
+                bit = free & -free
+                free ^= bit
+                nxt.append((c | bit, ((d1 | bit) << 1) & full, (d2 | bit) >> 1))
+        states = nxt
+    return states
+
+
+def subtree_counts(n, states):
+    sols, visits = _subtree_counts(n, *zip(*states))
+    return list(zip(sols.tolist(), visits.tolist()))
+
+
+@pytest.mark.parametrize("n,depth", [(n, depth) for n in range(1, 13)
+                                     for depth in range(min(n, 4) + 1)])
+def test_queens_task_counts_equal_reference(n, depth):
+    # depth == n for n <= 4: every solver task is a complete placement
+    states = queens_frontier(n, depth)
+    want = [ref.solve_queens(n, *s) for s in states]
+    if states:
+        assert subtree_counts(n, states) == want
+    trace = nqueens_trace(n, depth, use_cache=False)
+    assert [t.work for t in trace if t.label == "solve"] == [float(v) for _, v in want]
+    assert trace.description.endswith(f"; {sum(s for s, _ in want)} solutions")
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_solve_queens_equals_reference(n):
+    assert solve_queens(n) == ref.solve_queens(n)
+    for state in queens_frontier(n, min(n, 2)):
+        assert solve_queens(n, *state) == ref.solve_queens(n, *state)
+
+
+@pytest.mark.parametrize("cap", [1, 97, 5000])
+def test_queens_counts_equal_reference_whatever_the_chunk_cap(monkeypatch, cap):
+    # a cap below one node's children takes one node per step
+    monkeypatch.setattr(nqueens, "_CHUNK_NODES", cap)
+    for n, depth in [(6, 0), (8, 2), (9, 3), (9, 9)]:
+        states = queens_frontier(n, depth)
+        assert subtree_counts(n, states) == [ref.solve_queens(n, *s) for s in states]

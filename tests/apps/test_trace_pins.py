@@ -4,9 +4,11 @@ Every strategy replays the same trace, so a trace kernel that drifts
 moves every metric at once.  ``TRACE_PINS`` holds a sha256 of each of
 the nine small-scale traces, built from scratch (``use_cache=False``),
 with GROMOS at the two machine sizes its block pre-placement depends
-on.  A kernel rewrite in ``repro.apps`` must keep every pin.
+on.  A kernel rewrite in ``repro.apps`` must keep every pin, and a
+build must leave no reference cycle behind.
 """
 
+import gc
 import hashlib
 
 import pytest
@@ -72,3 +74,15 @@ FACTORIES = dict(_factories())
 @pytest.mark.parametrize("key", sorted(FACTORIES))
 def test_small_table1_trace_is_pinned(key):
     assert trace_digest(FACTORIES[key]()) == TRACE_PINS[key]
+
+
+@pytest.mark.parametrize("key", ["queens-10", "ida-1", "gromos-8@32"])
+def test_building_a_trace_leaves_no_reference_cycle(key):
+    # a cycle keeps a dropped trace's tasks alive until a full collection
+    gc.collect()
+    gc.disable()
+    try:
+        FACTORIES[key]()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
