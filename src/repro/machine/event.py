@@ -143,11 +143,10 @@ class Simulator:
 
         A traced run emits the events-processed and live-queue-length
         counters every :data:`_TRACE_STRIDE` events.  Passing ``None``
-        (or a tracer whose ``enabled`` is False) detaches; the untraced
-        run pays one identity check per :meth:`run` call, never per
-        event.
+        detaches; the untraced run pays one identity check per
+        :meth:`run` call, never per event.
         """
-        self._tracer = tracer if (tracer is not None and tracer.enabled) else None
+        self._tracer = tracer
 
     # ------------------------------------------------------------------
     # scheduling

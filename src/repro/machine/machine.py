@@ -90,12 +90,9 @@ class Machine:
 
     def attach_tracer(self, tracer) -> None:
         """Thread ``tracer`` (see :class:`repro.obs.Tracer`) through the
-        simulator, network, and every node.  Pass ``None`` — or a tracer
-        whose ``enabled`` is False — to detach; the untraced machine pays
-        no per-event cost.
+        simulator, network, and every node.  Pass ``None`` to detach; the
+        untraced machine pays no per-event cost.
         """
-        if tracer is not None and not tracer.enabled:
-            tracer = None
         self.tracer = tracer
         self.sim.attach_tracer(tracer)
         self.network.tracer = tracer

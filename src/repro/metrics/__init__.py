@@ -8,23 +8,11 @@ modules and the benchmarks.
 
 from repro.balancers.base import RunMetrics
 from .report import format_series, format_table, percent, seconds
-from .timeline import (
-    node_breakdown,
-    phase_breakdown_text,
-    phase_totals,
-    reconcile,
-    timeline_text,
-)
 
 __all__ = [
     "RunMetrics",
     "format_series",
     "format_table",
-    "node_breakdown",
     "percent",
-    "phase_breakdown_text",
-    "phase_totals",
-    "reconcile",
     "seconds",
-    "timeline_text",
 ]

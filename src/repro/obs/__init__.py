@@ -8,12 +8,15 @@ that makes those decompositions inspectable per node and per simulated
 instant instead of only as end-of-run aggregates:
 
 * :class:`Tracer` — span/counter/instant records keyed by simulated time
-  and node id, with a zero-cost-when-disabled contract: every producer in
-  the stack guards emission with a single ``tracer is None`` (or
-  ``not tracer.enabled``) check, and the simulator keeps its untraced
-  hot loop byte-for-byte identical;
-* :data:`NULL_TRACER` — the shared disabled singleton (``enabled`` is
-  False, every method is a no-op returning ``None``);
+  and node id, with a zero-cost-when-untraced contract: producers hold
+  ``None`` when untraced and guard emission with a single
+  ``tracer is None`` check, and the simulator keeps its untraced hot
+  loop byte-for-byte identical;
+* :mod:`repro.obs.attribution` — the one reader of the records: a
+  containment sweep per ``(node, cat)`` track that feeds the
+  flamegraph rollup, the subsystem split, the per-node and phase
+  tables of ``repro trace --report``, and the exact-zero
+  :func:`~repro.obs.attribution.reconcile`;
 * :mod:`repro.obs.export` — Chrome/Perfetto ``trace_event`` JSON and
   JSONL exporters (open the JSON in https://ui.perfetto.dev).
 
@@ -34,7 +37,7 @@ Span categories
 ``sim``    periodic event-loop counters (events processed, pending).
 """
 
-from .tracer import NULL_TRACER, NullTracer, Span, Tracer
+from .tracer import Tracer
 from .export import (
     trace_to_jsonl,
     write_chrome_trace,
@@ -57,11 +60,8 @@ from .memory import memory_audit
 
 __all__ = [
     "METRICS_SCHEMA",
-    "NULL_TRACER",
-    "NullTracer",
     "REPORT_SCHEMA",
     "MetricsRegistry",
-    "Span",
     "Tracer",
     "attribution_rollup",
     "collapsed_stacks",

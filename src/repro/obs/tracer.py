@@ -21,46 +21,29 @@ there is no call-stack to lean on — and emit one complete span on
 ``B``/``E`` pairs do: innermost ``end`` matches the most recent
 ``begin``.
 
-Zero-cost-when-disabled contract
+Readers go through the records: :mod:`repro.obs.attribution` is the
+one module that folds the spans into tables.
+
+Zero-cost-when-untraced contract
 --------------------------------
-Producers hold either ``None`` (the convention inside the simulator,
-nodes, and strategies: attribute defaults to ``None`` and emission sits
-behind one identity check) or :data:`NULL_TRACER`, the shared disabled
-singleton whose methods are no-ops.  Nothing in the stack allocates,
-formats, or looks anything up on behalf of a disabled tracer.
+Producers — the simulator, network, nodes and strategies — hold ``None``
+when untraced: the attribute defaults to ``None`` and emission sits
+behind one identity check.  Nothing in the stack allocates, formats, or
+looks anything up on behalf of an untraced run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Iterator, Optional
+from typing import Optional
 
-__all__ = ["Tracer", "NullTracer", "NULL_TRACER", "Span", "TRACK_ORDER"]
+__all__ = ["Tracer", "TRACK_ORDER"]
 
 #: Category -> Chrome thread-id track assignment (stable display order).
 TRACK_ORDER = ("cpu", "task", "phase", "net", "mwa", "sim", "fault", "snapshot")
 
 
-@dataclass(frozen=True)
-class Span:
-    """One completed span, in simulated seconds (report-friendly view)."""
-
-    node: int
-    cat: str
-    name: str
-    start: float
-    dur: float
-    args: Optional[dict] = None
-
-    @property
-    def end(self) -> float:
-        return self.start + self.dur
-
-
 class Tracer:
     """Collects trace records; attach via :meth:`Machine.attach_tracer`."""
-
-    enabled = True
 
     def __init__(self, max_records: Optional[int] = None) -> None:
         #: record tuples (see the module docstring), in emission order
@@ -165,62 +148,3 @@ class Tracer:
     def open_spans(self) -> int:
         """Number of begun-but-not-ended spans (should be 0 after a run)."""
         return sum(len(s) for s in self._open.values())
-
-    def spans(self, cat: Optional[str] = None) -> Iterator[Span]:
-        """Iterate completed spans, optionally restricted to one category."""
-        for ph, node, rcat, name, t, dur, args in self.records:
-            if ph == "X" and (cat is None or rcat == cat):
-                yield Span(node, rcat, name, t, dur, args)
-
-    def cpu_seconds(self) -> dict[int, dict[str, float]]:
-        """Per-node CPU seconds by cost category, summed from ``cpu`` spans."""
-        out: dict[int, dict[str, float]] = {}
-        for ph, node, cat, name, _t, dur, _args in self.records:
-            if ph == "X" and cat == "cpu":
-                per = out.setdefault(node, {})
-                per[name] = per.get(name, 0.0) + dur
-        return out
-
-
-class NullTracer:
-    """The disabled tracer: every method is a no-op, ``enabled`` is False.
-
-    Producers that cannot (or prefer not to) hold ``None`` use the shared
-    :data:`NULL_TRACER` singleton; emitting into it costs one method call
-    and allocates nothing.
-    """
-
-    enabled = False
-    records: tuple = ()
-    dropped = 0
-
-    def complete(self, node, cat, name, start, dur, args=None) -> None:
-        pass
-
-    def begin(self, node, cat, name, t, args=None) -> None:
-        pass
-
-    def end(self, node, cat, name, t, args=None) -> None:
-        pass
-
-    def instant(self, node, cat, name, t, args=None) -> None:
-        pass
-
-    def counter(self, node, cat, name, t, value) -> None:
-        pass
-
-    def open_spans(self) -> int:
-        return 0
-
-    def spans(self, cat=None):
-        return iter(())
-
-    def cpu_seconds(self) -> dict:
-        return {}
-
-    def __len__(self) -> int:
-        return 0
-
-
-#: Shared disabled singleton — compare by identity.
-NULL_TRACER = NullTracer()

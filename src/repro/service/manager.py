@@ -1208,7 +1208,7 @@ class SessionManager:
         }
         sess = rec.session
         tracer = getattr(sess, "tracer", None) if sess is not None else None
-        if tracer is not None and tracer.enabled:
+        if tracer is not None:
             records = tracer.records
             tail = records[rec._trace_cursor:]
             rec._trace_cursor = len(records)

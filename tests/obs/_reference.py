@@ -4,7 +4,13 @@ This is the dict-record tracer, the span-forest attribution
 (``build_forest`` + ``_walk``) and the dict-building Chrome renderer
 (``trace_to_chrome`` + ``json.dumps``) that preceded the flat-tuple
 records and the one-pass consumers in :mod:`repro.obs`, copied
-verbatim (less the tracer methods the tests never call).
+verbatim (less the tracer methods the tests never call).  The last
+section is the float-summing ``repro.metrics.timeline`` module that
+read ``Tracer.spans()`` and ``Tracer.cpu_seconds()`` before the node
+table, the phase table and the T/Th/Ti check moved onto the sweep in
+:mod:`repro.obs.attribution`, also verbatim, less the unused
+``timeline_text`` and with its ``reconcile`` renamed
+``timeline_reconcile`` beside the attribution one.
 ``tests/obs/test_reference_equality.py`` drives this module
 and the real one with the same emissions and asserts that every
 attribution result and every exported byte is equal.  Nothing outside
@@ -18,6 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Union
 
+from repro.metrics.report import format_table
 from repro.obs.tracer import TRACK_ORDER
 
 
@@ -395,3 +402,115 @@ def write_chrome_trace(
     path = Path(path)
     path.write_text(json.dumps(trace_to_chrome(tracer, label=label)) + "\n")
     return path
+
+
+# ----------------------------------------------------------------------
+# repro.metrics.timeline: the float-summing per-node and phase reports
+# ----------------------------------------------------------------------
+def node_breakdown(tracer: Tracer, T: Optional[float] = None) -> list[dict]:
+    """Per-node accounting rows from the ``cpu`` spans.
+
+    Each row: ``{"node", "task", "overhead", "idle", "tasks", "phases"}``
+    with times in simulated seconds.  ``idle`` needs the makespan ``T``;
+    when not given it defaults to the latest span end seen anywhere in
+    the trace (exact for the node that finishes last, a lower bound of
+    the true idle for the others only if the trace was truncated).
+    """
+    cpu = tracer.cpu_seconds()
+    if T is None:
+        T = max((s.end for s in tracer.spans()), default=0.0)
+    tasks: dict[int, int] = {}
+    for s in tracer.spans("task"):
+        tasks[s.node] = tasks.get(s.node, 0) + 1
+    phases: dict[int, int] = {}
+    for s in tracer.spans("phase"):
+        if s.name == "gather":
+            phases[s.node] = phases.get(s.node, 0) + 1
+    nodes = sorted(set(cpu) | set(tasks) | set(phases))
+    rows = []
+    for n in nodes:
+        per = cpu.get(n, {})
+        task = per.get("task", 0.0)
+        over = sum(v for k, v in per.items() if k != "task")
+        rows.append({
+            "node": n,
+            "task": task,
+            "overhead": over,
+            "idle": max(0.0, T - task - over),
+            "tasks": tasks.get(n, 0),
+            "phases": phases.get(n, 0),
+        })
+    return rows
+
+
+def phase_totals(tracer: Tracer) -> dict[str, dict[str, float]]:
+    """Aggregate the ``phase`` spans: per sub-step (init/gather/plan/
+    transfer/wave-barrier), total span-seconds across nodes, count, and
+    mean duration."""
+    out: dict[str, dict[str, float]] = {}
+    for s in tracer.spans("phase"):
+        name = s.name.split(":")[0]  # wave-barrier:3 -> wave-barrier
+        agg = out.setdefault(name, {"total": 0.0, "count": 0, "mean": 0.0})
+        agg["total"] += s.dur
+        agg["count"] += 1
+    for agg in out.values():
+        agg["mean"] = agg["total"] / agg["count"] if agg["count"] else 0.0
+    return out
+
+
+def phase_breakdown_text(tracer: Tracer, metrics=None) -> str:
+    """The phase-breakdown report: per-node time accounting plus the
+    system-phase sub-step table, and — when ``metrics`` is given — the
+    reconciliation against the run's Table-I numbers."""
+    T = metrics.T if metrics is not None else None
+    rows = node_breakdown(tracer, T=T)
+    parts = [format_table(
+        rows, ["node", "task", "overhead", "idle", "tasks", "phases"],
+        title="per-node time (sim seconds)",
+    )]
+    totals = phase_totals(tracer)
+    if totals:
+        prows = [
+            {"step": name, "count": int(agg["count"]),
+             "total": agg["total"], "mean": agg["mean"]}
+            for name, agg in sorted(totals.items())
+        ]
+        parts.append(format_table(
+            prows, ["step", "count", "total", "mean"],
+            title="system-phase sub-steps",
+        ))
+    if metrics is not None:
+        rec = timeline_reconcile(tracer, metrics)
+        parts.append(
+            "reconciliation vs RunMetrics: "
+            f"task/n {rec['task_per_node']:.6f} (metrics {rec['metrics_task_per_node']:.6f})  "
+            f"Th {rec['overhead_per_node']:.6f} (metrics {metrics.Th:.6f})  "
+            f"Ti {rec['idle_per_node']:.6f} (metrics {metrics.Ti:.6f})"
+        )
+    return "\n\n".join(parts)
+
+
+def timeline_reconcile(tracer: Tracer, metrics) -> dict[str, float]:
+    """Compare trace-derived per-node averages against ``metrics``.
+
+    Returns the trace-side values plus the absolute deltas; the test
+    suite asserts the deltas are ~0 (the tracer observes the same CPU
+    segments the machine's accounting sums)."""
+    n = metrics.num_nodes
+    cpu = tracer.cpu_seconds()
+    task_total = sum(per.get("task", 0.0) for per in cpu.values())
+    over_total = sum(v for per in cpu.values()
+                     for k, v in per.items() if k != "task")
+    task_per_node = task_total / n
+    over_per_node = over_total / n
+    idle_per_node = max(0.0, metrics.T - task_per_node - over_per_node)
+    metrics_task_per_node = max(0.0, metrics.T - metrics.Th - metrics.Ti)
+    return {
+        "task_per_node": task_per_node,
+        "overhead_per_node": over_per_node,
+        "idle_per_node": idle_per_node,
+        "metrics_task_per_node": metrics_task_per_node,
+        "delta_task": abs(task_per_node - metrics_task_per_node),
+        "delta_overhead": abs(over_per_node - metrics.Th),
+        "delta_idle": abs(idle_per_node - metrics.Ti),
+    }

@@ -4,10 +4,15 @@ Every case feeds the same emissions to a :class:`repro.obs.Tracer` and
 to the dict-record reference tracer in ``_reference.py``, then asserts
 that the attribution results are equal and the exported Chrome file and
 JSONL stream are equal byte for byte.  The synthetic cases pin the sweep
-rules one at a time; the real runs cover one traced cell per strategy.
+rules one at a time; the real runs cover one traced cell per strategy,
+where the node table and the T/Th/Ti check also equal the
+float-summing reference within 1e-12 s, the phase table within the
+sweep's 1 ns rounding, and the report text is identical.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,6 +21,9 @@ from repro.obs import Tracer
 from repro.obs.attribution import (
     attribution_rollup,
     collapsed_stacks,
+    node_breakdown,
+    phase_breakdown_text,
+    phase_totals,
     reconcile,
     subsystem_attribution,
 )
@@ -108,9 +116,8 @@ def _assert_same(new, old, tmp_path, label="unit"):
     assert collapsed_stacks(new) == ref.collapsed_stacks(old)
     assert reconcile(new) == ref.reconcile(old)
     assert reconcile(new)["delta_s"] == 0.0
-    assert ([(s.node, s.cat, s.name, s.start, s.dur, s.args) for s in new.spans()]
+    assert ([rec[1:] for rec in new.records if rec[0] == "X"]
             == [(s.node, s.cat, s.name, s.start, s.dur, s.args) for s in old.spans()])
-    assert new.cpu_seconds() == old.cpu_seconds()
     assert (len(new), new.dropped) == (len(old.records), old.dropped)
 
     got = write_chrome_trace(new, tmp_path / "new.json", label=label)
@@ -120,6 +127,28 @@ def _assert_same(new, old, tmp_path, label="unit"):
     assert list(trace_to_jsonl(new)) == lines
     written = write_jsonl_trace(new, tmp_path / "new.jsonl")
     assert written.read_bytes() == "".join(f"{line}\n" for line in lines).encode()
+
+
+def _assert_same_tables(new, old, metrics):
+    """The sweep's integer-ns tables against the float-summing reference."""
+    got, want = node_breakdown(new, metrics), ref.node_breakdown(old, T=metrics.T)
+    assert [r["node"] for r in got] == [r["node"] for r in want]
+    for g, w in zip(got, want):
+        assert g == pytest.approx(w, abs=1e-12)
+    # cpu spans last whole nanoseconds; a phase span's duration is a
+    # difference of event times, so the sweep rounds it by up to 0.5 ns
+    got, want = phase_totals(new), ref.phase_totals(old)
+    assert got.keys() == want.keys()
+    for step, w in want.items():
+        assert got[step]["count"] == w["count"]
+        assert got[step]["total"] == pytest.approx(
+            w["total"], abs=w["count"] * 0.5e-9 + 1e-12)
+        assert got[step]["mean"] == pytest.approx(w["mean"], abs=0.5e-9 + 1e-12)
+    rec, want = reconcile(new, metrics), ref.timeline_reconcile(old, metrics)
+    assert {k: rec[k] for k in want} == pytest.approx(want, abs=1e-12)
+    assert rec["delta_s"] == 0.0
+    assert phase_breakdown_text(new, metrics) == \
+        ref.phase_breakdown_text(old, metrics)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -144,6 +173,20 @@ def test_straddler_starts_a_new_root():
             ("straddler",), ("after",)} == paths
 
 
+def test_negative_duration_counts_as_zero():
+    new, old = _pair(CASES["negative-duration"])
+    metrics = SimpleNamespace(T=10.0, Th=0.0, Ti=0.0, num_nodes=1)
+    (row,) = node_breakdown(new, metrics)
+    assert (row["task"], row["overhead"], row["idle"]) == (0.0, 5.0, 5.0)
+    assert phase_totals(new)["backwards"] == \
+        {"total": 0.0, "count": 1, "mean": 0.0}
+    assert reconcile(new, metrics)["overhead_per_node"] == 5.0
+    # the float-summing reference let the negative spans subtract
+    (want,) = ref.node_breakdown(old, T=10.0)
+    assert want["overhead"] == 4.5
+    assert ref.phase_totals(old)["backwards"]["total"] == -1.0
+
+
 def test_max_records_truncates_and_counts_the_rest():
     new, _old = _pair(CASES["max-records"], max_records=3)
     assert len(new) == 3 and new.dropped == 3
@@ -153,10 +196,14 @@ def test_max_records_truncates_and_counts_the_rest():
 def test_real_traced_run_equals_reference(strategy, tmp_path):
     spec = workload("queens-10", scale="small")
     tracers = (Tracer(), ref.Tracer())
+    runs = []
     for tracer in tracers:
         strat = strategy_factories(spec.kind, 8)[strategy]()
-        Session.from_parts(spec.build(8), strat, make_machine(8, seed=7),
-                           tracer=tracer).run()
+        runs.append(Session.from_parts(spec.build(8), strat,
+                                       make_machine(8, seed=7),
+                                       tracer=tracer).run())
     new, old = tracers
     assert len(new) > 0
+    assert runs[0] == runs[1]
     _assert_same(new, old, tmp_path, label=f"queens-10/{strategy}")
+    _assert_same_tables(new, old, runs[0])

@@ -6,9 +6,15 @@ import pytest
 
 from repro.session import Session
 from repro.experiments.common import make_machine, strategy_factories, workload
-from repro.metrics import node_breakdown, phase_totals, reconcile
 from repro.obs import Tracer
+from repro.obs.attribution import node_breakdown, phase_totals, reconcile
 from repro.runner import ResultCache, RunRequest, run_requests_report
+
+
+def _spans(tr: Tracer, cat: str) -> list[tuple]:
+    """The completed spans of ``cat`` as ``(node, name, start, dur)``."""
+    return [(node, name, t, dur) for ph, node, rcat, name, t, dur, _args
+            in tr.records if ph == "X" and rcat == cat]
 
 
 def _run(strategy_name: str, tracer=None, num_nodes: int = 8, seed: int = 7):
@@ -41,7 +47,7 @@ class TestRIPSTrace:
 
     def test_phase_substeps_present(self, traced):
         tr, _m = traced
-        names = {s.name for s in tr.spans("phase")}
+        names = {name for _node, name, _t, _dur in _spans(tr, "phase")}
         assert {"init", "gather", "plan", "transfer"} <= names
         # resume is an instant, one per node per completed phase
         resumes = [t for ph, _node, cat, name, t, *_ in tr.records
@@ -50,24 +56,26 @@ class TestRIPSTrace:
 
     def test_task_spans_match_task_count(self, traced):
         tr, m = traced
-        spans = list(tr.spans("task"))
+        spans = _spans(tr, "task")
         assert len(spans) == m.num_tasks
-        assert len({s.name for s in spans}) == m.num_tasks
+        assert len({name for _node, name, _t, _dur in spans}) == m.num_tasks
 
     def test_plan_spans_at_root_only(self, traced):
         tr, m = traced
-        plans = [s for s in tr.spans("phase") if s.name == "plan"]
-        assert plans and all(s.node == 0 for s in plans)
+        plans = [node for node, name, _t, _dur in _spans(tr, "phase")
+                 if name == "plan"]
+        assert plans and all(node == 0 for node in plans)
         assert len(plans) == m.system_phases
 
     def test_breakdown_reconciles_with_run_metrics(self, traced):
         tr, m = traced
         rec = reconcile(tr, m)
+        assert rec["ok"] and rec["delta_s"] == 0.0
         assert rec["delta_task"] < 1e-9
         assert rec["delta_overhead"] < 1e-9
         assert rec["delta_idle"] < 1e-9
         # per node: T ~= task + overhead + idle by construction
-        for row in node_breakdown(tr, T=m.T):
+        for row in node_breakdown(tr, m):
             assert row["task"] + row["overhead"] + row["idle"] == pytest.approx(m.T)
 
     def test_phase_totals_aggregates(self, traced):

@@ -1,37 +1,19 @@
-"""Tracer unit behavior: disabled no-ops, span nesting, aggregation."""
+"""Tracer unit behavior: detaching, span nesting, aggregation."""
+
+from types import SimpleNamespace
 
 from repro.machine import Machine, MeshTopology
-from repro.obs import NULL_TRACER, NullTracer, Tracer
+from repro.obs import Tracer
+from repro.obs.attribution import node_breakdown
+
+
+def _spans(tr: Tracer, cat=None) -> list[tuple]:
+    """The completed spans as ``(node, cat, name, start, dur, args)``."""
+    return [rec[1:] for rec in tr.records
+            if rec[0] == "X" and (cat is None or rec[2] == cat)]
 
 
 class TestDisabledPath:
-    def test_null_tracer_is_shared_singleton(self):
-        assert isinstance(NULL_TRACER, NullTracer)
-        assert NULL_TRACER.enabled is False
-
-    def test_null_tracer_methods_are_noops(self):
-        before = NULL_TRACER.records
-        NULL_TRACER.complete(0, "cpu", "task", 0.0, 1.0)
-        NULL_TRACER.begin(0, "phase", "gather", 0.0)
-        NULL_TRACER.end(0, "phase", "gather", 1.0)
-        NULL_TRACER.instant(0, "net", "send:x", 0.5)
-        NULL_TRACER.counter(0, "sim", "events", 0.5, 1)
-        # no allocation, no records: the records object is untouched
-        assert NULL_TRACER.records is before
-        assert len(NULL_TRACER) == 0
-        assert NULL_TRACER.open_spans() == 0
-        assert list(NULL_TRACER.spans()) == []
-        assert NULL_TRACER.cpu_seconds() == {}
-
-    def test_machine_normalizes_disabled_tracer_to_none(self):
-        m = Machine(MeshTopology(2, 2))
-        m.attach_tracer(NULL_TRACER)
-        # producers hold None, so the hot paths stay one identity check
-        assert m.tracer is None
-        assert m.sim._tracer is None
-        assert m.network.tracer is None
-        assert all(n.tracer is None for n in m.nodes)
-
     def test_machine_detach(self):
         m = Machine(MeshTopology(2, 2), tracer=Tracer())
         assert m.tracer is not None
@@ -43,10 +25,7 @@ class TestSpans:
     def test_complete_span(self):
         tr = Tracer()
         tr.complete(3, "cpu", "task", 1.0, 0.5, {"k": 1})
-        (s,) = list(tr.spans())
-        assert (s.node, s.cat, s.name) == (3, "cpu", "task")
-        assert s.start == 1.0 and s.dur == 0.5 and s.end == 1.5
-        assert s.args == {"k": 1}
+        assert tr.records == [("X", 3, "cpu", "task", 1.0, 0.5, {"k": 1})]
 
     def test_begin_end_nesting_same_key(self):
         tr = Tracer()
@@ -54,19 +33,17 @@ class TestSpans:
         tr.begin(0, "phase", "gather", 1.0, {"outer": False})
         tr.end(0, "phase", "gather", 2.0)
         tr.end(0, "phase", "gather", 5.0)
-        inner, outer = list(tr.spans("phase"))
-        assert inner.start == 1.0 and inner.dur == 1.0
-        assert inner.args == {"outer": False}
-        assert outer.start == 0.0 and outer.dur == 5.0
-        assert outer.args == {"outer": True}
+        inner, outer = _spans(tr, "phase")
+        assert inner == (0, "phase", "gather", 1.0, 1.0, {"outer": False})
+        assert outer == (0, "phase", "gather", 0.0, 5.0, {"outer": True})
         assert tr.open_spans() == 0
 
     def test_end_merges_args(self):
         tr = Tracer()
         tr.begin(0, "phase", "gather", 0.0, {"phase": 1})
         tr.end(0, "phase", "gather", 2.0, {"outcome": "plan"})
-        (s,) = list(tr.spans())
-        assert s.args == {"phase": 1, "outcome": "plan"}
+        ((*_, args),) = _spans(tr)
+        assert args == {"phase": 1, "outcome": "plan"}
 
     def test_unmatched_end_ignored(self):
         tr = Tracer()
@@ -79,8 +56,8 @@ class TestSpans:
         tr.begin(1, "phase", "gather", 1.0)
         tr.end(0, "phase", "gather", 5.0)
         assert tr.open_spans() == 1
-        (s,) = list(tr.spans())
-        assert s.node == 0 and s.dur == 5.0
+        (span,) = _spans(tr)
+        assert span[0] == 0 and span[4] == 5.0
 
     def test_max_records_backstop(self):
         tr = Tracer(max_records=2)
@@ -96,10 +73,13 @@ class TestSpans:
         tr.complete(0, "cpu", "overhead", 3.0, 0.25)
         tr.complete(1, "cpu", "task", 0.0, 2.0)
         tr.complete(1, "task", "task:7", 0.0, 2.0)  # not cat "cpu"
-        assert tr.cpu_seconds() == {
-            0: {"task": 1.5, "overhead": 0.25},
-            1: {"task": 2.0},
-        }
+        metrics = SimpleNamespace(T=4.0, num_nodes=2)
+        assert node_breakdown(tr, metrics) == [
+            {"node": 0, "task": 1.5, "overhead": 0.25, "idle": 2.25,
+             "tasks": 0, "phases": 0},
+            {"node": 1, "task": 2.0, "overhead": 0.0, "idle": 2.0,
+             "tasks": 1, "phases": 0},
+        ]
 
     def test_from_records_roundtrip(self):
         tr = Tracer()
@@ -108,4 +88,4 @@ class TestSpans:
         clone = Tracer.from_records(tr.records, dropped=4)
         assert clone.records == tr.records
         assert clone.dropped == 4
-        assert len(list(clone.spans("cpu"))) == 1
+        assert len(_spans(clone, "cpu")) == 1
