@@ -23,14 +23,6 @@ onto:
   "metrics"?}``); :func:`validate_report` is the strict counterpart
   (unknown top-level fields are rejected, exactly like the v1 wire
   schema).
-
-Zero-cost-when-disabled contract
---------------------------------
-Mirrors the tracer's: a registry constructed with ``enabled=False``
-hands back the shared :data:`NULL_COUNTER` / :data:`NULL_GAUGE` /
-:data:`NULL_HISTOGRAM` singletons, allocates nothing per call, and its
-snapshot is empty.  Producers hold one instrument handle and call it
-unconditionally; the disabled handle is a no-op method away.
 """
 
 from __future__ import annotations
@@ -42,9 +34,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_COUNTER",
-    "NULL_GAUGE",
-    "NULL_HISTOGRAM",
     "METRICS_SCHEMA",
     "REPORT_SCHEMA",
     "make_report",
@@ -206,35 +195,6 @@ class Histogram:
         return out
 
 
-class _NullInstrument:
-    """Shared no-op instrument for disabled registries (identity-shared,
-    allocation-free — the metrics twin of :data:`repro.obs.NULL_TRACER`)."""
-
-    __slots__ = ()
-    value = 0
-    count = 0
-
-    def inc(self, n: int = 1) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def add(self, delta: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def snapshot_value(self) -> dict:
-        return {}
-
-
-NULL_COUNTER = _NullInstrument()
-NULL_GAUGE = _NullInstrument()
-NULL_HISTOGRAM = _NullInstrument()
-
-
 # ----------------------------------------------------------------------
 # the registry
 # ----------------------------------------------------------------------
@@ -252,14 +212,11 @@ class MetricsRegistry:
     :data:`METRICS_SCHEMA` document with a deterministic ordering.
     """
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._instruments: dict[tuple, object] = {}
 
     # ------------------------------------------------------------------
-    def _get(self, cls, name: str, labels: dict, null):
-        if not self.enabled:
-            return null
+    def _get(self, cls, name: str, labels: dict):
         key = (name, _label_key(labels))
         inst = self._instruments.get(key)
         if inst is None:
@@ -271,13 +228,13 @@ class MetricsRegistry:
         return inst
 
     def counter(self, name: str, **labels) -> Counter:
-        return self._get(Counter, name, labels, NULL_COUNTER)
+        return self._get(Counter, name, labels)
 
     def gauge(self, name: str, **labels) -> Gauge:
-        return self._get(Gauge, name, labels, NULL_GAUGE)
+        return self._get(Gauge, name, labels)
 
     def histogram(self, name: str, **labels) -> Histogram:
-        return self._get(Histogram, name, labels, NULL_HISTOGRAM)
+        return self._get(Histogram, name, labels)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -302,24 +259,6 @@ class MetricsRegistry:
             entry.update(inst.snapshot_value())
             series.append(entry)
         return {"schema": METRICS_SCHEMA, "series": series}
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry's instruments into this one (loadtest
-        workers aggregate per-process registries this way)."""
-        for (name, labels), inst in other._instruments.items():
-            if isinstance(inst, Counter):
-                self._get(Counter, name, dict(labels), NULL_COUNTER).inc(inst.value)
-            elif isinstance(inst, Gauge):
-                self._get(Gauge, name, dict(labels), NULL_GAUGE).set(inst.value)
-            elif isinstance(inst, Histogram):
-                mine = self._get(Histogram, name, dict(labels), NULL_HISTOGRAM)
-                for v in inst.samples:
-                    mine.observe(v)
-                # preserve aggregate exactness past the sample cap
-                extra = inst.count - len(inst.samples)
-                if extra > 0:
-                    mine.count += extra
-                    mine.total += inst.total - sum(inst.samples)
 
 
 # ----------------------------------------------------------------------

@@ -2,9 +2,8 @@
 
 The registry is the one metrics dialect of the stack (executor counters,
 service ``/v1/metrics``, loadtest report), so its contracts are pinned
-hard here: exact small-sample percentiles, deterministic snapshots, a
-zero-cost disabled mode mirroring ``NULL_TRACER``, and the strict
-``repro.report/1`` envelope every ``--json`` surface emits.
+hard here: exact small-sample percentiles, deterministic snapshots, and
+the strict ``repro.report/1`` envelope every ``--json`` surface emits.
 """
 
 from __future__ import annotations
@@ -15,9 +14,6 @@ import pytest
 
 from repro.obs.metrics import (
     METRICS_SCHEMA,
-    NULL_COUNTER,
-    NULL_GAUGE,
-    NULL_HISTOGRAM,
     REPORT_SCHEMA,
     MetricsRegistry,
     make_report,
@@ -144,33 +140,6 @@ def test_snapshot_deterministic_and_versioned():
     assert json.dumps(s1, sort_keys=True) == json.dumps(s2, sort_keys=True)
     names = [e["name"] for e in s1["series"]]
     assert names == sorted(names)
-
-
-def test_disabled_registry_is_zero_cost():
-    reg = MetricsRegistry(enabled=False)
-    # identity-shared null instruments, nothing allocated per call
-    assert reg.counter("a") is NULL_COUNTER
-    assert reg.counter("b", lbl="x") is NULL_COUNTER
-    assert reg.gauge("c") is NULL_GAUGE
-    assert reg.histogram("d") is NULL_HISTOGRAM
-    reg.counter("a").inc(5)
-    reg.histogram("d").observe(1.0)
-    assert len(reg) == 0
-    assert reg.snapshot()["series"] == []
-
-
-def test_merge_folds_counters_and_histograms():
-    a, b = MetricsRegistry(), MetricsRegistry()
-    a.counter("n").inc(2)
-    b.counter("n").inc(3)
-    b.counter("only_b").inc(1)
-    a.histogram("lat").observe(0.1)
-    b.histogram("lat").observe(0.3)
-    a.merge(b)
-    assert a.value("n") == 5
-    assert a.value("only_b") == 1
-    h = a.histogram("lat")
-    assert h.count == 2 and h.max == 0.3
 
 
 # ----------------------------------------------------------------------
