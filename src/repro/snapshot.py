@@ -258,11 +258,11 @@ def restore(snapshot: Snapshot) -> "Machine":
 
 
 # ----------------------------------------------------------------------
-# selftest gate
+# round-trip check
 # ----------------------------------------------------------------------
 def roundtrip_check(workload_key: str = "queens-10", num_nodes: int = 8,
                     pause_events: int = 1000) -> dict:
-    """The ``selftest snapshot-roundtrip`` gate.
+    """The checkpoint/restore round-trip check.
 
     For each strategy, runs ``workload_key`` straight through and again
     with a mid-run checkpoint → pickle round trip → resume, and compares

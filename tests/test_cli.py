@@ -71,52 +71,6 @@ def test_faults_grid_renders_and_audit_passes(capsys):
     assert "8 cell(s)" in captured.err  # executor accounting on stderr
 
 
-class _FakeProc:
-    def __init__(self, returncode):
-        self.returncode = returncode
-
-
-def test_selftest_all_green(monkeypatch, capsys):
-    import shutil
-    import subprocess
-
-    ran = []
-    monkeypatch.setattr(
-        subprocess, "run",
-        lambda cmd, **kw: ran.append(cmd) or _FakeProc(0))
-    monkeypatch.setattr(shutil, "which", lambda name: None)
-    assert main(["selftest", "--bench", "skip"]) == 0
-    out = capsys.readouterr().out
-    assert "[selftest] tests: PASS" in out
-    assert "ruff not installed, skipped" in out
-    assert any("pytest" in " ".join(map(str, cmd)) for cmd in ran)
-
-
-def test_selftest_propagates_failure(monkeypatch, capsys):
-    import shutil
-    import subprocess
-
-    monkeypatch.setattr(subprocess, "run", lambda cmd, **kw: _FakeProc(1))
-    monkeypatch.setattr(shutil, "which", lambda name: None)
-    assert main(["selftest", "--bench", "skip"]) == 1
-    assert "[selftest] tests: FAIL" in capsys.readouterr().out
-
-
-def test_selftest_runs_lint_when_ruff_available(monkeypatch, capsys):
-    import shutil
-    import subprocess
-
-    ran = []
-    monkeypatch.setattr(
-        subprocess, "run",
-        lambda cmd, **kw: ran.append(cmd) or _FakeProc(0))
-    monkeypatch.setattr(shutil, "which", lambda name: "/usr/bin/ruff")
-    assert main(["selftest", "--bench", "skip"]) == 0
-    out = capsys.readouterr().out
-    assert "[selftest] lint: PASS" in out
-    assert any(cmd[0] == "ruff" for cmd in ran)
-
-
 def test_trace_jsonl_format(tmp_path):
     out = tmp_path / "trace.jsonl"
     assert main(["trace", "queens-10", "--nodes", "8", "--scale", "small",
