@@ -32,16 +32,6 @@ Commands
     ``--check`` compares against the committed baseline instead (exit 1
     on a >10% regression), gates checkpoint overhead on the chain
     shape, and never rewrites the baseline.
-``loadtest``
-    Closed-loop capacity harness: drive N concurrent sessions (workload
-    x strategy mix, closed- or open-loop arrival, seeded)
-    through the in-process runner and/or a live ``serve`` instance;
-    report p50/p90/p99 cell latency, queue wait, 429/503 counts,
-    result-cache hit rate, events/sec under contention, and
-    the span-tree attribution rollup.  Writes ``BENCH_loadtest.json``;
-    ``--check`` gates against it like ``bench --check``; ``--smoke``
-    runs a small campaign against BOTH targets and exits nonzero unless
-    every structural gate holds.
 ``faults``
     Strategy degradation under injected faults (fig_faults): sweeps
     drop rates and fail-stop crash counts over a Table-I workload;
@@ -50,10 +40,10 @@ Commands
 Grid commands print the executor's accounting line (cells, cache hits,
 retries) on stderr after the table.
 
-``cache stats``, ``bench``, ``chaos``, and ``loadtest`` accept
-``--json``: machine-readable output on stdout in the shared
-``repro.report/1`` envelope (:func:`repro.obs.metrics.make_report`);
-human tables and progress lines move to stderr.
+``cache stats``, ``bench``, and ``chaos`` accept ``--json``:
+machine-readable output on stdout in the shared ``repro.report/1``
+envelope (:func:`repro.obs.metrics.make_report`); human tables and
+progress lines move to stderr.
 
 Shared flags come from parent parsers: every experiment command accepts
 ``--scale {small,paper}`` (default: ``$REPRO_SCALE`` or ``small``), and
@@ -91,7 +81,7 @@ from repro.metrics import format_series, format_table, percent, seconds
 
 def _print_report(kind: str, data: dict) -> None:
     """Emit a ``repro.report/1`` envelope on stdout (the ``--json`` path
-    shared by cache/bench/chaos/loadtest)."""
+    shared by cache/bench/chaos)."""
     import json
 
     from repro.obs.metrics import make_report
@@ -490,112 +480,6 @@ def _cmd_chaos(args) -> int:
     return 0 if rep.ok else 1
 
 
-def _cmd_loadtest(args) -> int:
-    """Closed-loop capacity campaign -> BENCH_loadtest.json (or --check)."""
-    import json
-
-    from repro.loadtest import (
-        LoadtestConfig,
-        check_loadtest,
-        format_loadtest,
-        make_loadtest_report,
-        run_loadtest,
-    )
-    from repro.loadtest.report import DEFAULT_LOADTEST_PATH, _structural_failures
-
-    out_path = Path(args.out) if args.out else None
-
-    if args.check:
-        result = check_loadtest(path=out_path)
-        if args.json:
-            _print_report("loadtest.check", result)
-            return 0 if result["ok"] else 1
-        for k in sorted(result.get("ratios", ())):
-            print(f"{k}: {result['ratios'][k]:.2f}x baseline")
-        for failure in result["failures"]:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        if result["ok"]:
-            print("OK: within tolerance of the committed baseline")
-        return 0 if result["ok"] else 1
-
-    if args.smoke:
-        # The CI gate: a small fixed campaign against BOTH the in-process
-        # runner and a throwaway live server, held to the structural
-        # gates (everything completes, non-zero percentiles/throughput/
-        # cache hits, attribution reconciles exactly).
-        # concurrency == mix size, so a repeat can only be offered after
-        # its original finished: result-cache hits are deterministic
-        config = LoadtestConfig(
-            sessions=6, concurrency=2, workloads=("queens-10",),
-            strategies=("RIPS", "RID"), num_nodes=8,
-            seed=args.seed, mem_audit=args.mem_audit, churn=args.churn)
-        target = "both"
-    else:
-        config = LoadtestConfig(
-            sessions=args.sessions,
-            concurrency=args.concurrency,
-            arrival=args.arrival,
-            rate=args.rate,
-            workloads=tuple(_resolve_workload_key(w, args.scale)
-                            for w in args.workloads),
-            strategies=tuple(_resolve_strategy(s) for s in args.strategies),
-            num_nodes=args.nodes,
-            scale=current_scale(args.scale),
-            seed=args.seed,
-            timeout=args.timeout,
-            mem_audit=args.mem_audit,
-            churn=args.churn,
-        )
-        target = args.target
-    report = make_loadtest_report(
-        config, run_loadtest(config, target=target, url=args.url))
-
-    if args.smoke:
-        failures = _structural_failures(report)
-        stream = sys.stderr if args.json else sys.stdout
-        print(format_loadtest(report), end="", file=stream)
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        if args.json:
-            print(json.dumps(report, indent=2, sort_keys=True))
-        elif not failures:
-            print("loadtest smoke: ok (both targets, all structural gates)")
-        if out_path is not None:
-            out_path.write_text(
-                json.dumps(report, indent=2, sort_keys=True) + "\n")
-        return 0 if not failures else 1
-
-    out = out_path if out_path is not None else DEFAULT_LOADTEST_PATH
-    doc = report
-    existing = None
-    if out.exists():
-        try:
-            existing = json.loads(out.read_text())
-        except ValueError:
-            existing = None
-    base_data = (existing or {}).get("data") or {}
-    if args.churn and base_data.get("targets") \
-            and not (base_data.get("config") or {}).get("churn"):
-        # a churn campaign rides alongside the committed fault-free
-        # baseline rather than replacing it: --check keeps gating the
-        # main campaign, data.churn records capacity under churn
-        base_data["churn"] = {
-            key: report["data"][key]
-            for key in ("config", "environment", "targets")
-            if key in report["data"]
-        }
-        doc = existing
-    elif not args.churn and base_data.get("churn"):
-        doc["data"]["churn"] = base_data["churn"]
-    out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(format_loadtest(report), end="")
-        print(f"wrote {out}", file=sys.stderr)
-    return 0
-
-
 def _cmd_fig4(args) -> int:
     sizes = args.sizes or list(PAPER_SIZES)
     series = run_fig4(sizes=sizes, weights=PAPER_WEIGHTS, cases=args.cases,
@@ -905,64 +789,6 @@ def main(argv: list[str] | None = None) -> int:
                    help="repro.report/1 envelope on stdout; progress lines "
                         "move to stderr")
     p.set_defaults(fn=_cmd_chaos)
-
-    p = sub.add_parser("loadtest",
-                       help="closed-loop capacity harness -> "
-                            "BENCH_loadtest.json")
-    p.add_argument("--sessions", type=int, default=16,
-                   help="cells in the campaign (default 16)")
-    p.add_argument("--concurrency", type=int, default=4,
-                   help="concurrent sessions in flight (default 4)")
-    p.add_argument("--arrival", choices=("closed", "open"), default="closed",
-                   help="closed = all offered at t=0; open = Poisson "
-                        "arrivals at --rate (default closed)")
-    p.add_argument("--rate", type=float, default=8.0,
-                   help="open-loop arrival rate, sessions/second (default 8)")
-    p.add_argument("--workloads", nargs="+", default=["queens-10"],
-                   metavar="KEY",
-                   help="workload keys in the mix (default queens-10)")
-    p.add_argument("--strategies", nargs="+", default=["RIPS", "RID"],
-                   metavar="S",
-                   help="strategies in the mix (default RIPS RID)")
-    p.add_argument("--nodes", type=int, default=16,
-                   help="machine size per cell (default 16)")
-    p.add_argument("--scale", choices=("small", "paper"), default=None,
-                   help="workload sizes (default: $REPRO_SCALE or small)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="campaign seed: mix order and open-loop arrival "
-                        "times (default 0)")
-    p.add_argument("--timeout", type=float, default=300.0,
-                   help="per-cell wall-clock timeout in seconds "
-                        "(default 300)")
-    p.add_argument("--target", choices=("runner", "service", "both"),
-                   default="runner",
-                   help="drive the in-process runner, a live serve "
-                        "instance, or both (default runner)")
-    p.add_argument("--url", default=None,
-                   help="existing serve instance for the service target "
-                        "(default: start a throwaway server)")
-    p.add_argument("--mem-audit", dest="mem_audit", action="store_true",
-                   help="include the node/mailbox/event-lane memory audit")
-    p.add_argument("--churn", action="store_true",
-                   help="attach a seeded elastic-membership plan (joins, "
-                        "leaves, elections + crashes) to every cell — "
-                        "capacity under churn")
-    p.add_argument("--out", default=None,
-                   help="report path (default: repo-root "
-                        "BENCH_loadtest.json; with --check: the baseline "
-                        "to gate against)")
-    p.add_argument("--json", action="store_true",
-                   help="repro.report/1 envelope on stdout; tables move "
-                        "to stderr")
-    p.add_argument("--smoke", action="store_true",
-                   help="small fixed campaign against BOTH targets, held "
-                        "to the structural gates; doesn't touch the "
-                        "baseline unless --out is given (the CI gate)")
-    p.add_argument("--check", action="store_true",
-                   help="re-run the committed baseline's campaign and "
-                        "gate events/sec + p99 latency against it (never "
-                        "rewrites the baseline)")
-    p.set_defaults(fn=_cmd_loadtest)
 
     p = sub.add_parser("run", help="one workload under one strategy",
                        parents=[scale, _nodes_parent(32), _seed_parent(1234)])

@@ -56,7 +56,6 @@ from .attribution import (
     collapsed_stacks,
     subsystem_attribution,
 )
-from .memory import memory_audit
 
 __all__ = [
     "METRICS_SCHEMA",
@@ -66,7 +65,6 @@ __all__ = [
     "attribution_rollup",
     "collapsed_stacks",
     "make_report",
-    "memory_audit",
     "percentile",
     "subsystem_attribution",
     "trace_to_jsonl",
