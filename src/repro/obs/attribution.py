@@ -7,9 +7,9 @@ sweep per track.  Every trace-derived table reads that sweep:
 
 * :func:`attribution_rollup` — aggregate **self time** (span duration
   minus nested children) by folded stack path, the flamegraph table.
-* :func:`subsystem_attribution` — the coarse per-subsystem split the
-  loadtest report carries: kernel drain vs. strategy hooks vs. network
-  vs. snapshot vs. service slice overhead.
+* :func:`subsystem_attribution` — the coarse per-subsystem split:
+  kernel drain vs. strategy hooks vs. network vs. snapshot vs. service
+  slice overhead.
 * :func:`collapsed_stacks` — ``path;to;frame <self>`` text, one line per
   stack, directly consumable by ``flamegraph.pl`` and speedscope.
 * :func:`node_breakdown` / :func:`phase_totals` /
@@ -186,8 +186,7 @@ def attribution_rollup(tracer) -> list[dict]:
 
 def subsystem_attribution(tracer) -> dict[str, float]:
     """Coarse self-time split by subsystem (kernel / strategy / network /
-    snapshot / service / other), in simulated seconds — the shape the
-    loadtest report carries."""
+    snapshot / service / other), in simulated seconds."""
     totals_ns: dict[str, int] = {}
     for path, (self_ns, _total_ns, _count) in _sweep(tracer)[0].items():
         bucket = SUBSYSTEM_OF_CAT.get(path[1], "other")
@@ -286,7 +285,7 @@ def reconcile(tracer, metrics=None) -> dict:
     Σ duration over root spans, exactly (integer ns).  That part returns
     ``{"root_s", "self_s", "delta_s", "ok"}`` where ``delta_s`` is 0.0
     on any trace (the telescoping identity), making it a cheap invariant
-    for tests and the loadtest report alike.
+    for the tests and for the benchmark's traced cells alike.
 
     Given the run's ``metrics``, the result also compares the ``cpu``
     spans' per-node averages with its Table-I split: ``task_per_node``,

@@ -15,8 +15,8 @@ onto:
 
 * **Snapshot** — :meth:`MetricsRegistry.snapshot` renders every
   instrument into one deterministic, versioned JSON document
-  (:data:`METRICS_SCHEMA`).  The service's ``GET /v1/metrics``, the
-  loadtest report, and every CLI ``--json`` flag all emit it.
+  (:data:`METRICS_SCHEMA`).  The service's ``GET /v1/metrics`` and
+  every CLI ``--json`` flag emit it.
 
 * **Report envelope** — :func:`make_report` wraps any payload in the
   shared ``repro.report/1`` envelope (``{"schema", "kind", "data",
@@ -38,7 +38,6 @@ __all__ = [
     "REPORT_SCHEMA",
     "make_report",
     "percentile",
-    "summarize",
     "validate_report",
 ]
 
@@ -62,7 +61,7 @@ SNAPSHOT_PERCENTILES = (50.0, 90.0, 99.0)
 
 
 # ----------------------------------------------------------------------
-# percentile math (shared by histograms and the loadtest report)
+# percentile math (the histograms' snapshot percentiles)
 # ----------------------------------------------------------------------
 def percentile(values: Iterable[float], q: float) -> float:
     """The ``q``-th percentile (0..100) by linear interpolation between
@@ -83,27 +82,6 @@ def percentile(values: Iterable[float], q: float) -> float:
     hi = min(lo + 1, len(data) - 1)
     frac = rank - lo
     return float(data[lo] * (1.0 - frac) + data[hi] * frac)
-
-
-def summarize(values: Iterable[float],
-              percentiles: tuple = SNAPSHOT_PERCENTILES) -> dict:
-    """count/sum/min/max/mean plus the requested percentiles, as the
-    snapshot dict shape histograms use."""
-    data = sorted(values)
-    out: dict = {"count": len(data)}
-    if not data:
-        return out
-    total = sum(data)
-    out.update(
-        sum=total,
-        min=data[0],
-        max=data[-1],
-        mean=total / len(data),
-    )
-    for q in percentiles:
-        label = f"p{q:g}".replace(".", "_")
-        out[label] = percentile(data, q)
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -150,9 +128,10 @@ class Histogram:
     """A distribution of observations with exact small-sample percentiles.
 
     Raw samples are retained up to ``max_samples`` (percentiles computed
-    from them are exact, which the loadtest determinism tests rely on);
-    past the cap, count/sum/min/max stay exact and the snapshot reports
-    the overflow under ``"samples_dropped"``.
+    from them are exact, not estimated: the executor's and the service's
+    wait/exec histograms report true order statistics); past the cap,
+    count/sum/min/max stay exact and the snapshot reports the overflow
+    under ``"samples_dropped"``.
     """
 
     __slots__ = ("samples", "max_samples", "count", "total", "min", "max")
@@ -268,9 +247,9 @@ def make_report(kind: str, data: dict,
                 registry: Optional[MetricsRegistry] = None) -> dict:
     """Wrap ``data`` in the ``repro.report/1`` envelope.
 
-    Every JSON-emitting surface (CLI ``--json``, ``/v1/metrics``,
-    ``BENCH_loadtest.json``) speaks this shape: ``schema`` + ``kind`` +
-    ``data``, plus an optional ``metrics`` registry snapshot.
+    Every JSON-emitting surface (CLI ``--json``, ``/v1/metrics``) speaks
+    this shape: ``schema`` + ``kind`` + ``data``, plus an optional
+    ``metrics`` registry snapshot.
     """
     doc = {"schema": REPORT_SCHEMA, "kind": str(kind), "data": dict(data)}
     if registry is not None:

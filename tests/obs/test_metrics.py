@@ -1,7 +1,7 @@
 """MetricsRegistry: instruments, percentile math, envelope discipline.
 
-The registry is the one metrics dialect of the stack (executor counters,
-service ``/v1/metrics``, loadtest report), so its contracts are pinned
+The registry is the one metrics dialect of the stack (executor counters
+and histograms, service ``/v1/metrics``), so its contracts are pinned
 hard here: exact small-sample percentiles, deterministic snapshots, and
 the strict ``repro.report/1`` envelope every ``--json`` surface emits.
 """
@@ -18,7 +18,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     make_report,
     percentile,
-    summarize,
     validate_report,
 )
 
@@ -47,16 +46,6 @@ def test_percentile_rejects_empty_and_bad_q():
         percentile([1.0], 101)
     with pytest.raises(ValueError):
         percentile([1.0], -1)
-
-
-def test_summarize_shape():
-    out = summarize([1.0, 2.0, 3.0, 4.0])
-    assert out["count"] == 4
-    assert out["sum"] == 10.0
-    assert out["min"] == 1.0 and out["max"] == 4.0
-    assert out["mean"] == 2.5
-    assert out["p50"] == 2.5
-    assert summarize([]) == {"count": 0}
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Per-cell latency split: queue wait vs execution, honestly separated.
 
 Before the split, a cell that sat behind a saturated pool was charged
-its queue time as "execution" — a loadtest built on that number measures
+its queue time as "execution" — a latency built on that number measures
 the pool, not the kernel.  ``RunReport.timings`` now carries both parts
 per executed cell, and a ``MetricsRegistry`` receives the executor's
 counters and latency histograms.
