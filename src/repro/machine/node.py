@@ -50,7 +50,6 @@ class Node:
         self._cpu_busy = False
         self.cpu_time: dict[str, float] = {c: 0.0 for c in CATEGORIES}
         self._handlers: dict[str, Callable[[Message], None]] = {}
-        self._idle_callbacks: list[Callable[[], None]] = []
         #: last virtual time this node finished any CPU item (for makespan).
         self.last_active = 0.0
         #: scratch storage for protocol state, keyed by protocol name.
@@ -182,19 +181,6 @@ class Node:
         if not self._cpu_busy:
             self._start_next()
 
-    @property
-    def cpu_busy(self) -> bool:
-        return self._cpu_busy
-
-    @property
-    def cpu_backlog(self) -> int:
-        """Number of queued (not yet started) CPU items."""
-        return len(self._cpu_queue)
-
-    def on_cpu_idle(self, fn: Callable[[], None]) -> None:
-        """Register a callback fired whenever the CPU queue drains."""
-        self._idle_callbacks.append(fn)
-
     def after(self, delay: float, fn: Callable[..., None], *args: Any) -> "EventHandle":
         """Schedule ``fn(*args)`` on the sim clock, bound to this node.
 
@@ -245,9 +231,6 @@ class Node:
         # so exec_cpu inside fn starts immediately and sets it True again).
         if not self._cpu_busy and self._cpu_queue:
             self._start_next()
-        if not self._cpu_busy and not self._cpu_queue:
-            for cb in self._idle_callbacks:
-                cb()
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:

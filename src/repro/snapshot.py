@@ -81,7 +81,9 @@ __all__ = [
 #: v8: a traced machine's :class:`~repro.obs.tracer.Tracer` holds its
 #: records as flat ``(ph, node, cat, name, t, dur_or_value, args)``
 #: tuples instead of one dict per record.
-SNAPSHOT_VERSION = 8
+#: v9: :class:`~repro.machine.node.Node` loses its ``_idle_callbacks``
+#: list (the ``on_cpu_idle`` hook is gone).
+SNAPSHOT_VERSION = 9
 
 _MAGIC = b"repro-snapshot\n"
 

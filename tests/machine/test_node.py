@@ -49,17 +49,6 @@ def test_callback_enqueueing_more_work_is_safe():
     assert done == [pytest.approx(2e-3)]
 
 
-def test_idle_callback_fires_when_queue_drains():
-    m = make_machine()
-    node = m.node(0)
-    idles = []
-    node.on_cpu_idle(lambda: idles.append(m.sim.now))
-    node.exec_cpu(1e-3, "task")
-    node.exec_cpu(1e-3, "task")
-    m.run()
-    assert idles == [pytest.approx(2e-3)]
-
-
 def test_send_charges_sender_cpu_then_transits():
     m = make_machine(software_overhead=1e-3)
     got = []
