@@ -5,7 +5,7 @@ two scales:
 
 * ``paper`` — the evaluation-section sizes (13/14/15-Queens, IDA*
   configurations #1–#3, GROMOS at 8/12/16 Å).  Trace generation for the
-  big ones takes real CPU (15-Queens ≈ 10 s, IDA* #3 ≈ 9 s) but is
+  big ones takes real CPU (15-Queens ≈ 10 s, IDA* #3 ≈ 4 s) but is
   disk-cached.
 * ``small`` — reduced sizes for CI/tests (10/11/12-Queens, easier
   puzzle instances, a thinner molecule).  Same structure, same code

@@ -1,9 +1,13 @@
 """Tests for sequential IDA* and the parallel trace construction."""
 
+import sys
+
 import pytest
 
 from repro.apps.idastar import (
+    SPLIT_DEPTH_LIMIT,
     IDAStarConfig,
+    _annotated_dfs,
     _bounded_dfs,
     ida_star_sequential,
     idastar_trace,
@@ -51,6 +55,26 @@ def test_bounded_dfs_respects_threshold():
     exceed, visits, found = _bounded_dfs(board, 0, h, h - 2, -1)
     assert not found
     assert exceed > h - 2
+
+
+def test_search_keeps_a_flat_stack():
+    # no Python frame per ply: both searches fit in 20 frames above
+    # their caller at thresholds 28 and 30
+    board = random_walk_instance(40, 11)
+    h = manhattan(board)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 20)
+    try:
+        for threshold in (h + 4, h + 6):
+            exceed, visits, found = _bounded_dfs(board, 0, h, threshold, -1)
+            skeleton = _annotated_dfs(board, 0, h, threshold, -1,
+                                      SPLIT_DEPTH_LIMIT, 40)
+            assert skeleton[:3] == (visits, exceed, found)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_trace_structure():
