@@ -36,6 +36,14 @@ Commands
     Strategy degradation under injected faults (fig_faults): sweeps
     drop rates and fail-stop crash counts over a Table-I workload;
     ``--audit`` additionally checks task conservation per cell.
+``chaos``
+    Seeded random fault plans against RIPS: checks the invariants of
+    every run and shrinks each failing plan to a minimal reproducer.
+    ``--churn`` draws elastic-membership plans (joins, leaves,
+    elections and crashes), ``--replay PLAN`` re-runs one plan, and
+    ``--service`` chaos-tests the service layer instead (SIGKILL,
+    hung and poisoned slice workers, blob-store faults); ``--smoke``
+    runs the CI-sized campaign.
 
 Grid commands print the executor's accounting line (cells, cache hits,
 retries) on stderr after the table.

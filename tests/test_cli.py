@@ -1,9 +1,11 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import json
+import re
 
 import pytest
 
+import repro.__main__
 from repro.__main__ import main
 
 
@@ -30,6 +32,20 @@ def test_table2(capsys):
     assert main(["table2", "--nodes", "16", "--scale", "small"]) == 0
     out = capsys.readouterr().out
     assert "Table II" in out
+
+
+def test_docstring_lists_every_command(capsys):
+    # the module docstring is the command reference: one entry per
+    # command, headed by a line such as "``table1`` / ``table2``"
+    with pytest.raises(SystemExit):
+        main(["-h"])
+    usage = capsys.readouterr().out
+    commands = re.search(r"\{([\w,]+)\}", usage).group(1).split(",")
+    assert len(commands) > 10
+    heads = [line for line in repro.__main__.__doc__.splitlines()
+             if re.fullmatch(r"``\w+``( / ``\w+``)*", line)]
+    listed = {name for line in heads for name in re.findall(r"``(\w+)``", line)}
+    assert sorted(set(commands) - listed) == []
 
 
 def test_unknown_command_rejected():
