@@ -60,7 +60,9 @@ class Session:
         built :class:`~repro.tasks.trace.WorkloadTrace`.
     topology:
         ``None`` for the paper's default mesh at ``num_nodes``, a kind
-        string (``"hypercube"``), or a :class:`Topology` instance.
+        string (``"hypercube"``), or a :class:`Topology` instance.  An
+        instance fixes the machine size: ``num_nodes`` is read from it,
+        and a different explicit ``num_nodes`` raises ``ValueError``.
     strategy:
         A strategy name (resolved through
         :func:`repro.experiments.common.strategy_factories`, so per-
@@ -71,7 +73,10 @@ class Session:
     trace:
         ``True`` to attach a fresh :class:`repro.obs.Tracer`, or a
         tracer instance; ``None``/``False`` runs untraced.
-    seed, num_nodes, scale, config, contention:
+    num_nodes:
+        Machine size; ``None`` takes it from a :class:`Topology`
+        instance, else the paper's 32.
+    seed, scale, config, contention:
         As elsewhere in the harness.
     """
 
@@ -81,7 +86,7 @@ class Session:
         topology: Union[None, str, Topology] = None,
         strategy: Union[str, Strategy] = "RIPS",
         *,
-        num_nodes: int = 32,
+        num_nodes: Optional[int] = None,
         seed: int = 1234,
         scale: Optional[str] = None,
         config: ExecutionConfig = ExecutionConfig(),
@@ -89,10 +94,16 @@ class Session:
         trace=None,
         contention: bool = False,
     ) -> None:
+        if isinstance(topology, Topology):
+            if num_nodes not in (None, topology.num_nodes):
+                raise ValueError(
+                    f"num_nodes={num_nodes} conflicts with a topology of "
+                    f"{topology.num_nodes} nodes")
+            num_nodes = topology.num_nodes
         self.workload = workload
         self.topology = topology
         self.strategy = strategy
-        self.num_nodes = num_nodes
+        self.num_nodes = 32 if num_nodes is None else num_nodes
         self.seed = seed
         self.scale = scale
         self.config = config

@@ -162,3 +162,33 @@ def test_checkpoint_meta_describes_the_session():
     assert meta["started"] is False
     sess.run(max_events=500)
     assert sess.checkpoint().meta["started"] is True
+
+
+def test_topology_instance_fixes_num_nodes():
+    # an 8x8 mesh is a 64-node machine: the trace, RID's tuning and the
+    # checkpoint meta must all see 64 nodes, not the 32-node default
+    from repro.machine import MeshTopology
+
+    sess = Session("gromos-8", topology=MeshTopology(8, 8), strategy="RID",
+                   scale="small")
+    assert sess.num_nodes == 64
+    homes = {t.home for t in sess.prepare()._trace.tasks if t.home is not None}
+    assert max(homes) >= 32
+    assert sess.checkpoint().meta["num_nodes"] == 64
+    got = sess.run()
+    assert got == Session("gromos-8", strategy="RID", num_nodes=64,
+                          scale="small").run()
+    ida = Session("ida-3", topology=MeshTopology(8, 8), strategy="RID",
+                  scale="small")
+    assert ida.driver.strategy.update_factor == 0.7
+
+
+def test_conflicting_num_nodes_and_topology_refused():
+    from repro.machine import MeshTopology
+
+    with pytest.raises(ValueError, match="16 nodes"):
+        Session("queens-10", topology=MeshTopology(4, 4), num_nodes=8)
+    # an agreeing explicit value is fine, and so is a kind string
+    assert Session("queens-10", topology=MeshTopology(4, 4),
+                   num_nodes=16).num_nodes == 16
+    assert Session("queens-10", topology="hypercube").num_nodes == 32
