@@ -15,15 +15,14 @@ from repro.apps import gromos_trace, nqueens_trace
 from repro.balancers import StaticPreschedule
 from repro.session import Session
 from repro.core import RIPS
-from repro.machine import Machine, MeshTopology
+from repro.machine import MeshTopology
 from repro.metrics import format_table
 
 from benchmarks.conftest import save_and_print
 
 
 def _run(trace, strategy, seed=13):
-    machine = Machine(MeshTopology(4, 4), seed=seed)
-    return Session.from_parts(trace, strategy, machine).run()
+    return Session(trace, topology=MeshTopology(4, 4), strategy=strategy, seed=seed).run()
 
 
 def test_ablation_incremental_vs_static(benchmark, results_dir):

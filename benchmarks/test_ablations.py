@@ -14,7 +14,7 @@ from repro.apps import nqueens_trace
 from repro.session import Session
 from repro.core import RIPS
 from repro.core.schedulers import OptimalPlanner
-from repro.machine import Machine, MeshTopology
+from repro.machine import MeshTopology
 from repro.metrics import format_table
 
 from benchmarks.conftest import save_and_print
@@ -26,8 +26,7 @@ def trace():
 
 
 def _run(trace, strategy, shape=(4, 4), seed=31):
-    machine = Machine(MeshTopology(*shape), seed=seed)
-    return Session.from_parts(trace, strategy, machine).run()
+    return Session(trace, topology=MeshTopology(*shape), strategy=strategy, seed=seed).run()
 
 
 def test_ablation_policy_grid(benchmark, results_dir, trace):

@@ -11,20 +11,20 @@ import math
 
 import pytest
 
-from repro.experiments import fig5_text, run_fig5, run_table1, run_table2
+from repro.experiments import fig5, quality_factors
+from repro.runner import run_requests
 
 from benchmarks.conftest import save_and_print
 
 
 def test_fig5_quality_factors(benchmark, results_dir):
-    metrics = run_table1(num_nodes=32)
-    opt = run_table2(num_nodes=32)
+    results = run_requests(fig5.build_requests(num_nodes=32))
     factors = benchmark.pedantic(
-        lambda: run_fig5(num_nodes=32, metrics=metrics, opt=opt),
+        lambda: quality_factors(results),
         rounds=1,
         iterations=1,
     )
-    save_and_print(results_dir, "fig5", fig5_text(factors))
+    save_and_print(results_dir, "fig5", fig5.render(results))
     assert len(factors) == 9
     for key, per_strat in factors.items():
         assert per_strat["random"] == pytest.approx(1.0), key

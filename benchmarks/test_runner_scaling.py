@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 
-from repro.experiments.table1 import table1_requests
+from repro.experiments import table1
 from repro.runner import run_requests
 from repro.runner.bench import _bench_chain, _bench_loaded
 from repro.machine.event import Simulator
@@ -50,7 +50,7 @@ def test_bench_grid_cell(benchmark):
 def test_grid_wall_clock_scaling_with_jobs():
     """Fan a Table-I slice out at jobs=1/2/4; identical results required,
     wall-clock per jobs level printed for the perf trajectory."""
-    reqs = table1_requests(
+    reqs = table1.build_requests(
         num_nodes=32,
         scale="small",
         workload_keys=("queens-10", "queens-11", "ida-1"),

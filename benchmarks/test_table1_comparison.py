@@ -9,25 +9,27 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import run_table1, table1_text
+from repro.experiments import table1
+from repro.runner import run_requests
 
 from benchmarks.conftest import save_and_print
 
 
 @pytest.fixture(scope="module")
 def table1_metrics():
-    return run_table1(num_nodes=32)
+    return run_requests(table1.build_requests(num_nodes=32))
 
 
 def test_table1_full_grid(benchmark, results_dir, table1_metrics):
     # benchmark one representative re-run (queens row) and reuse the
     # precomputed grid for the report
     benchmark.pedantic(
-        lambda: run_table1(num_nodes=32, workload_keys=("gromos-8",)),
+        lambda: run_requests(table1.build_requests(
+            num_nodes=32, workload_keys=("gromos-8",))),
         rounds=1,
         iterations=1,
     )
-    save_and_print(results_dir, "table1", table1_text(table1_metrics, 32))
+    save_and_print(results_dir, "table1", table1.render(table1_metrics))
 
 
 def _by(metrics, key_prefix, strategy):

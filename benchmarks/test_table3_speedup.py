@@ -11,7 +11,8 @@ import os
 
 import pytest
 
-from repro.experiments import run_table3, table3_text
+from repro.experiments import table3
+from repro.runner import run_requests
 
 from benchmarks.conftest import save_and_print
 
@@ -20,9 +21,10 @@ SIZES = (64, 128) if os.environ.get("REPRO_SCALE") == "paper" else (64,)
 
 def test_table3_speedups(benchmark, results_dir):
     metrics = benchmark.pedantic(
-        lambda: run_table3(num_nodes_list=SIZES), rounds=1, iterations=1
+        lambda: run_requests(table3.build_requests(num_nodes_list=SIZES)),
+        rounds=1, iterations=1,
     )
-    save_and_print(results_dir, "table3", table3_text(metrics))
+    save_and_print(results_dir, "table3", table3.render(metrics))
     by = {}
     for m in metrics:
         name = "RIPS" if m.strategy.startswith("RIPS") else m.strategy

@@ -4,19 +4,19 @@ from __future__ import annotations
 
 import pytest
 
-from repro.apps import nqueens_trace
-from repro.experiments.topologies import run_topology_comparison
+from repro.experiments import topologies
 from repro.metrics import format_table
+from repro.runner import run_requests
 
 from benchmarks.conftest import save_and_print
 
 
 def test_rips_across_topologies(benchmark, results_dir):
-    trace = nqueens_trace(12, split_depth=3)
-    results = benchmark.pedantic(
-        lambda: run_topology_comparison(trace, num_nodes=16),
-        rounds=1, iterations=1,
+    reqs = topologies.build_requests("queens-12", num_nodes=16, scale="small")
+    metrics = benchmark.pedantic(
+        lambda: run_requests(reqs), rounds=1, iterations=1,
     )
+    results = {m.extra["topology_case"]: m for m in metrics}
     rows = [
         {
             "topology": name,

@@ -14,7 +14,6 @@ Run:  python examples/molecular_dynamics.py
 
 from repro import (
     GradientModel,
-    Machine,
     MeshTopology,
     RandomAllocation,
     ReceiverInitiatedDiffusion,
@@ -43,8 +42,7 @@ def main() -> None:
         ReceiverInitiatedDiffusion(),
         RIPS("lazy", "any"),
     ):
-        machine = Machine(MeshTopology(4, 4), seed=7)
-        m = Session.from_parts(trace, strategy, machine).run()
+        m = Session(trace, topology=MeshTopology(4, 4), strategy=strategy, seed=7).run()
         rows.append(
             {
                 "strategy": m.strategy,

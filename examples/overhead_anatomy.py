@@ -16,7 +16,7 @@ Run:  python examples/overhead_anatomy.py [--full]
 
 import argparse
 
-from repro import Machine, MeshTopology, RIPS, Session
+from repro import MeshTopology, RIPS, Session
 from repro.apps import nqueens_trace
 
 
@@ -28,8 +28,10 @@ def main() -> None:
 
     n = 15 if args.full else 13
     trace = nqueens_trace(n, split_depth=4)
-    machine = Machine(MeshTopology(8, 4), seed=2026)
-    metrics = Session.from_parts(trace, RIPS("lazy", "any"), machine).run()
+    sess = Session(trace, topology=MeshTopology(8, 4),
+                   strategy=RIPS("lazy", "any"), seed=2026)
+    metrics = sess.run()
+    machine = sess.machine
 
     phases = metrics.system_phases
     nonlocal_tasks = metrics.nonlocal_tasks

@@ -14,7 +14,7 @@ Run:  python examples/parallel_search.py
 
 from collections import Counter
 
-from repro import Machine, MeshTopology, RandomAllocation, RIPS, Session
+from repro import MeshTopology, RandomAllocation, RIPS, Session
 from repro.apps import idastar_trace
 from repro.apps.idastar import IDAStarConfig
 from repro.metrics import format_table
@@ -51,8 +51,7 @@ def main() -> None:
 
     rows = []
     for strategy in (RandomAllocation(), RIPS("lazy", "any")):
-        machine = Machine(MeshTopology(4, 4), seed=11)
-        m = Session.from_parts(trace, strategy, machine).run()
+        m = Session(trace, topology=MeshTopology(4, 4), strategy=strategy, seed=11).run()
         rows.append(
             {
                 "strategy": m.strategy,

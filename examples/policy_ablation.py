@@ -10,7 +10,7 @@ nothing while being a realistic runtime algorithm.
 Run:  python examples/policy_ablation.py
 """
 
-from repro import Machine, MeshTopology, RIPS, Session
+from repro import MeshTopology, RIPS, Session
 from repro.core.schedulers import OptimalPlanner
 from repro.apps import nqueens_trace
 from repro.metrics import format_table
@@ -19,13 +19,13 @@ from repro.metrics import format_table
 def main() -> None:
     trace = nqueens_trace(11, split_depth=3)
     print(f"workload: {trace}\n")
-    topo_shape = (4, 4)
+    mesh = MeshTopology(4, 4)
 
     rows = []
     for local in ("lazy", "eager"):
         for global_ in ("any", "all"):
-            machine = Machine(MeshTopology(*topo_shape), seed=31)
-            m = Session.from_parts(trace, RIPS(local, global_), machine).run()
+            m = Session(trace, topology=mesh, strategy=RIPS(local, global_),
+                        seed=31).run()
             rows.append(
                 {
                     "policy": f"{global_.upper()}-{local.capitalize()}",
@@ -42,10 +42,10 @@ def main() -> None:
     rows = []
     for label, planner in (
         ("MWA (paper)", None),
-        ("min-cost flow (oracle)", OptimalPlanner(MeshTopology(*topo_shape))),
+        ("min-cost flow (oracle)", OptimalPlanner(mesh)),
     ):
-        machine = Machine(MeshTopology(*topo_shape), seed=31)
-        m = Session.from_parts(trace, RIPS("lazy", "any", planner=planner), machine).run()
+        m = Session(trace, topology=mesh,
+                    strategy=RIPS("lazy", "any", planner=planner), seed=31).run()
         rows.append(
             {
                 "planner": label,

@@ -9,7 +9,7 @@ the same workload.
 Run:  python examples/quickstart.py
 """
 
-from repro import Machine, MeshTopology, RandomAllocation, RIPS, Session
+from repro import MeshTopology, RandomAllocation, RIPS, Session
 from repro.apps import nqueens_trace
 
 
@@ -21,13 +21,11 @@ def main() -> None:
     print(f"workload: {trace}")
     print(f"  {trace.description}")
 
-    # 2. The machine: a 4x4 mesh with Paragon-like communication costs.
-    def fresh_machine() -> Machine:
-        return Machine(MeshTopology(4, 4), seed=2026)
-
-    # 3. Run under RIPS and under the randomized-allocation baseline.
+    # 2. Run it under RIPS and under the randomized-allocation baseline,
+    #    each on a fresh 4x4 mesh with Paragon-like communication costs.
     for strategy in (RIPS("lazy", "any"), RandomAllocation()):
-        metrics = Session.from_parts(trace, strategy, fresh_machine()).run()
+        metrics = Session(trace, topology=MeshTopology(4, 4),
+                          strategy=strategy, seed=2026).run()
         print(
             f"\n{metrics.strategy}:"
             f"\n  execution time T  = {metrics.T * 1e3:8.2f} ms"

@@ -12,7 +12,7 @@ Run:  PYTHONPATH=src python examples/serve_table1.py
 from dataclasses import fields
 
 from repro.balancers.base import RunMetrics
-from repro.experiments import table1_requests, table1_text
+from repro.experiments import table1
 from repro.service import ServiceClient, ServiceConfig, serve_background
 
 NODES = 16
@@ -32,7 +32,7 @@ def main() -> None:
         print(f"service up at {bg.url}")
 
         # --- one cell, watched live over the WebSocket ----------------
-        reqs = table1_requests(num_nodes=NODES, scale="small")
+        reqs = table1.build_requests(num_nodes=NODES, scale="small")
         sid = client.submit(reqs[0])["id"]
         print(f"\nstreaming {reqs[0].label()} (session {sid}):")
         for frame in client.stream(sid, timeout=300):
@@ -51,7 +51,7 @@ def main() -> None:
         print(f"  {report['summary']}")
         metrics = [metrics_from_wire(m) for m in report["results"]]
         print()
-        print(table1_text(metrics, NODES))
+        print(table1.render(metrics))
 
         stats = client.stats()
         print(f"server stats: {stats['submitted']} submitted, "

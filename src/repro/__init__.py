@@ -10,11 +10,12 @@ regenerates every table and figure of the evaluation section.
 
 Quickstart
 ----------
->>> from repro import Machine, MeshTopology, RIPS, Session
+>>> from repro import MeshTopology, RIPS, Session
 >>> from repro.apps import nqueens_trace
 >>> trace = nqueens_trace(10, split_depth=3)
->>> machine = Machine(MeshTopology(4, 4), seed=42)
->>> metrics = Session.from_parts(trace, RIPS("lazy", "any"), machine).run()
+>>> session = Session(trace, topology=MeshTopology(4, 4),
+...                   strategy=RIPS("lazy", "any"), seed=42)
+>>> metrics = session.run()
 >>> round(metrics.efficiency, 3)
 0.268
 

@@ -45,8 +45,11 @@ Commands
     hung and poisoned slice workers, blob-store faults); ``--smoke``
     runs the CI-sized campaign.
 
-Grid commands print the executor's accounting line (cells, cache hits,
-retries) on stderr after the table.
+The seven grid commands (``table1``-``table3``, ``fig4``, ``fig5``,
+``topologies``, ``faults``) share one path: the experiment module of
+the same name builds the request grid, the runner executes it, and the
+module renders the results on stdout.  Each prints the executor's
+accounting line (cells, cache hits, retries) on stderr.
 
 ``cache stats``, ``bench``, and ``chaos`` accept ``--json``:
 machine-readable output on stdout in the shared ``repro.report/1``
@@ -55,8 +58,7 @@ progress lines move to stderr.
 
 Shared flags come from parent parsers: every experiment command accepts
 ``--scale {small,paper}`` (default: ``$REPRO_SCALE`` or ``small``), and
-grid commands (``table1``-``table3``, ``fig4``, ``fig5``,
-``topologies``) accept ``--jobs N`` (default ``$REPRO_JOBS`` or serial;
+grid commands accept ``--jobs N`` (default ``$REPRO_JOBS`` or serial;
 0 = one worker per CPU), ``--no-cache``, and ``--preempt`` (timed-out
 cells checkpoint and resume instead of restarting).
 """
@@ -70,11 +72,6 @@ from pathlib import Path
 from repro.experiments import (
     STRATEGY_ORDER,
     current_scale,
-    run_fig4,
-    table1_text,
-    table2_text,
-    table3_text,
-    topologies_text,
     workload,
     workloads,
 )
@@ -84,7 +81,7 @@ from repro.experiments.faults import (
     DEFAULT_DROP_RATES,
     DEFAULT_FAULT_SEED,
 )
-from repro.metrics import format_series, format_table, percent, seconds
+from repro.metrics import format_table, percent, seconds
 
 
 def _print_report(kind: str, data: dict) -> None:
@@ -95,18 +92,6 @@ def _print_report(kind: str, data: dict) -> None:
     from repro.obs.metrics import make_report
 
     print(json.dumps(make_report(kind, data), indent=2, sort_keys=True))
-
-
-def _run_grid(reqs, args):
-    """Execute a request grid and surface the executor accounting
-    (cache hits / executed / retried / failed) on stderr."""
-    from repro.runner import run_requests_report
-
-    report = run_requests_report(
-        reqs, jobs=args.jobs, cache=args.cache,
-        preempt=getattr(args, "preempt", False))
-    print(report.summary(), file=sys.stderr)
-    return report
 
 
 # ----------------------------------------------------------------------
@@ -189,39 +174,67 @@ def _resolve_strategy(name: str) -> str:
 # ----------------------------------------------------------------------
 # commands
 # ----------------------------------------------------------------------
-def _cmd_table1(args) -> int:
-    from repro.experiments import table1_requests
+def _cmd_grid(args) -> int:
+    """The grid commands' one path: the experiment module named like the
+    command builds its requests from the flags (``args.build``), the
+    runner executes them with the executor accounting (cache hits /
+    executed / retried / failed) on stderr, and the module renders the
+    results on stdout.  ``faults --audit`` then checks every cell."""
+    import importlib
 
-    rep = _run_grid(table1_requests(num_nodes=args.nodes, scale=args.scale), args)
-    print(table1_text(rep.results, args.nodes))
+    from repro.runner import run_requests_report
+
+    mod = importlib.import_module(f"repro.experiments.{args.command}")
+    reqs = mod.build_requests(**args.build(args))
+    report = run_requests_report(reqs, jobs=args.jobs, cache=args.cache,
+                                 preempt=args.preempt)
+    print(report.summary(), file=sys.stderr)
+    print(mod.render(report.results))
+    if getattr(args, "audit", False):
+        return _audit_conservation(reqs, report.results)
     return 0
 
 
-def _cmd_table2(args) -> int:
-    from repro.experiments import table2_requests
+def _audit_conservation(reqs, results) -> int:
+    """Run the task-conservation audit over each traced fault cell."""
+    from repro.faults import audit_conservation
 
-    rep = _run_grid(table2_requests(num_nodes=args.nodes, scale=args.scale), args)
-    print(table2_text({m.workload: m.efficiency for m in rep.results}, args.nodes))
-    return 0
+    traces: dict = {}
+    violations = 0
+    for req, m in zip(reqs, results):
+        tkey = (req.workload, req.num_nodes)
+        if tkey not in traces:
+            traces[tkey] = workload(req.workload, req.scale).build(req.num_nodes)
+        audit = audit_conservation(
+            traces[tkey],
+            m.extra.get("trace_records", ()),
+            m.extra.get("lost_task_ids", ()),
+            m.extra.get("crashed_nodes", ()),
+        )
+        if not audit.ok:
+            violations += 1
+            print(f"{req.label()}: {audit.summary()}")
+    print(f"conservation audit: {len(reqs) - violations}/{len(reqs)} cells ok")
+    return 1 if violations else 0
 
 
-def _cmd_table3(args) -> int:
-    from repro.experiments import table3_requests
-
-    rep = _run_grid(
-        table3_requests(num_nodes_list=tuple(args.nodes), scale=args.scale), args)
-    print(table3_text(rep.results))
-    return 0
-
-
-def _cmd_topologies(args) -> int:
-    from repro.experiments import topology_grid_requests
-
-    rep = _run_grid(
-        topology_grid_requests(args.workload, num_nodes=args.nodes,
-                               seed=args.seed, scale=args.scale), args)
-    print(topologies_text(rep.results))
-    return 0
+def _faults_kwargs(args) -> dict:
+    keys = None
+    if args.workload:
+        keys = [_resolve_workload_key(args.workload, args.scale)]
+    return dict(
+        workload_keys=keys,
+        num_nodes=args.nodes,
+        scale=args.scale,
+        seed=args.seed,
+        fault_seed=args.fault_seed,
+        drop_rates=tuple(args.drops),
+        crash_counts=tuple(args.crashes),
+        crash_at=args.crash_at,
+        detectors=tuple(args.detectors),
+        partition_counts=tuple(args.partitions),
+        audit=args.audit,
+    )
 
 
 def _cmd_cache(args) -> int:
@@ -348,60 +361,6 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _cmd_fig5(args) -> int:
-    import repro.experiments.fig5 as fig5_mod
-
-    rep = _run_grid(fig5_mod.build_requests(num_nodes=args.nodes,
-                                            scale=args.scale), args)
-    print(fig5_mod.render(rep.results))
-    return 0
-
-
-def _cmd_faults(args) -> int:
-    import repro.experiments.faults as faults_mod
-
-    keys = None
-    if args.workload:
-        keys = [_resolve_workload_key(args.workload, args.scale)]
-    reqs = faults_mod.faults_requests(
-        workload_keys=keys,
-        num_nodes=args.nodes,
-        scale=args.scale,
-        seed=args.seed,
-        fault_seed=args.fault_seed,
-        drop_rates=tuple(args.drops),
-        crash_counts=tuple(args.crashes),
-        crash_at=args.crash_at,
-        detectors=tuple(args.detectors),
-        partition_counts=tuple(args.partitions),
-        audit=args.audit,
-    )
-    rep = _run_grid(reqs, args)
-    print(faults_mod.faults_text(rep.results))
-    if args.audit:
-        from repro.faults import audit_conservation
-
-        traces: dict = {}
-        violations = 0
-        for req, m in zip(reqs, rep.results):
-            tkey = (req.workload, req.num_nodes)
-            if tkey not in traces:
-                traces[tkey] = workload(req.workload, req.scale).build(req.num_nodes)
-            audit = audit_conservation(
-                traces[tkey],
-                m.extra.get("trace_records", ()),
-                m.extra.get("lost_task_ids", ()),
-                m.extra.get("crashed_nodes", ()),
-            )
-            if not audit.ok:
-                violations += 1
-                print(f"{req.label()}: {audit.summary()}")
-        print(f"conservation audit: {len(reqs) - violations}/{len(reqs)} cells ok")
-        if violations:
-            return 1
-    return 0
-
-
 def _cmd_chaos(args) -> int:
     """Seeded random fault plans vs RIPS, with invariant checks + shrinking."""
     import json
@@ -486,19 +445,6 @@ def _cmd_chaos(args) -> int:
               f"scheduled fault(s) in {spent} evals: {shrunk.describe()}")
         print(f"    replay with: python -m repro chaos --replay '{canon}'")
     return 0 if rep.ok else 1
-
-
-def _cmd_fig4(args) -> int:
-    sizes = args.sizes or list(PAPER_SIZES)
-    series = run_fig4(sizes=sizes, weights=PAPER_WEIGHTS, cases=args.cases,
-                      seed=args.seed, jobs=args.jobs, cache=args.cache)
-    print("Figure 4: normalized communication cost of MWA, "
-          f"{args.cases} cases per point")
-    for n in sizes:
-        points = series[n]
-        print(format_series(f"{n} procs", PAPER_WEIGHTS,
-                            [p.normalized_cost for p in points]))
-    return 0
 
 
 def _cmd_run(args) -> int:
@@ -613,22 +559,27 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("table1", help="strategy comparison (Table I)",
                        parents=[scale, _nodes_parent(32), grid])
-    p.set_defaults(fn=_cmd_table1)
+    p.set_defaults(fn=_cmd_grid, build=lambda a: dict(
+        num_nodes=a.nodes, scale=a.scale))
 
     p = sub.add_parser("table2", help="optimal efficiencies (Table II)",
                        parents=[scale, _nodes_parent(32), grid])
-    p.set_defaults(fn=_cmd_table2)
+    p.set_defaults(fn=_cmd_grid, build=lambda a: dict(
+        num_nodes=a.nodes, scale=a.scale))
 
     p = sub.add_parser("table3", help="speedups on larger machines (Table III)",
                        parents=[scale, grid])
     p.add_argument("--nodes", type=int, nargs="+", default=[64, 128])
-    p.set_defaults(fn=_cmd_table3)
+    p.set_defaults(fn=_cmd_grid, build=lambda a: dict(
+        num_nodes_list=tuple(a.nodes), scale=a.scale))
 
     p = sub.add_parser("topologies",
                        help="RIPS across mesh/tree/hypercube/crossbar",
                        parents=[scale, _nodes_parent(32), _seed_parent(77), grid])
     p.add_argument("workload", help="workload key, e.g. queens-11")
-    p.set_defaults(fn=_cmd_topologies)
+    p.set_defaults(fn=_cmd_grid, build=lambda a: dict(
+        workload_key=a.workload, num_nodes=a.nodes, seed=a.seed,
+        scale=a.scale))
 
     p = sub.add_parser("cache", help="inspect or clear the on-disk caches")
     p.add_argument("action", choices=("stats", "clear"))
@@ -727,11 +678,14 @@ def main(argv: list[str] | None = None) -> int:
                        parents=[_seed_parent(7), grid])
     p.add_argument("--cases", type=int, default=25)
     p.add_argument("--sizes", type=int, nargs="*", default=None)
-    p.set_defaults(fn=_cmd_fig4)
+    p.set_defaults(fn=_cmd_grid, build=lambda a: dict(
+        sizes=a.sizes or PAPER_SIZES, weights=PAPER_WEIGHTS, cases=a.cases,
+        seed=a.seed))
 
     p = sub.add_parser("fig5", help="normalized quality factors (Figure 5)",
                        parents=[scale, _nodes_parent(32), grid])
-    p.set_defaults(fn=_cmd_fig5)
+    p.set_defaults(fn=_cmd_grid, build=lambda a: dict(
+        num_nodes=a.nodes, scale=a.scale))
 
     p = sub.add_parser("faults",
                        help="strategy degradation under injected faults "
@@ -764,7 +718,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--audit", action="store_true",
                    help="trace every cell and audit task conservation "
                         "(bypasses the result cache; exit 1 on violation)")
-    p.set_defaults(fn=_cmd_faults)
+    p.set_defaults(fn=_cmd_grid, build=_faults_kwargs)
 
     p = sub.add_parser("chaos",
                        help="seeded random fault plans vs RIPS: invariant "

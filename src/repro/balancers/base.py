@@ -698,12 +698,6 @@ class Driver:
             )
         return self._metrics()
 
-    def run(self) -> RunMetrics:
-        """Run to completion and compute the Table-I metrics."""
-        self.start_once()
-        self.machine.run()
-        return self.finish()
-
     def _metrics(self) -> RunMetrics:
         n = self.machine.num_nodes
         T = self.machine.makespan()

@@ -25,11 +25,9 @@ from typing import Callable, Sequence
 from repro.apps import gromos_trace, idastar_trace, nqueens_trace
 from repro.apps.idastar import IDAStarConfig, PAPER_CONFIGS
 from repro.balancers import (
-    ExecutionConfig,
     GradientModel,
     RandomAllocation,
     ReceiverInitiatedDiffusion,
-    RunMetrics,
 )
 from repro.core import RIPS
 from repro.machine import Machine, MeshTopology, mesh_shape_for
@@ -42,7 +40,6 @@ __all__ = [
     "workload",
     "strategy_factories",
     "make_machine",
-    "run_workload",
     "STRATEGY_ORDER",
 ]
 
@@ -167,32 +164,3 @@ def make_machine(num_nodes: int, seed: int = 1234) -> Machine:
     n1, n2 = mesh_shape_for(num_nodes)
     return Machine(MeshTopology(n1, n2), seed=seed)
 
-
-def run_workload(
-    spec: WorkloadSpec,
-    strategy_name: str,
-    num_nodes: int = 32,
-    seed: int = 1234,
-    config: ExecutionConfig = ExecutionConfig(),
-    tracer=None,
-    faults=None,
-) -> RunMetrics:
-    """One Table-I cell group: one workload under one strategy.
-
-    A thin wrapper over :class:`repro.session.Session` (the machine/
-    driver/tracer/faults wiring lives there now); kept because the
-    per-experiment call sites read naturally as "run this spec".
-    ``faults`` is an optional :class:`repro.faults.FaultPlan`; ``None``
-    (or a null plan) leaves the machine untouched.
-    """
-    from repro.session import Session
-
-    return Session(
-        spec,
-        strategy=strategy_name,
-        num_nodes=num_nodes,
-        seed=seed,
-        config=config,
-        faults=faults,
-        trace=tracer,
-    ).run()

@@ -18,12 +18,12 @@ their cache entries.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from repro.balancers import RunMetrics
 from repro.faults import FaultPlan
 from repro.metrics import format_table, percent, seconds
-from repro.runner import ResultCache, RunRequest, run_requests
+from repro.runner import RunRequest
 
 from .common import STRATEGY_ORDER, current_scale, workloads
 
@@ -33,10 +33,7 @@ __all__ = [
     "DEFAULT_FAULT_SEED",
     "build_requests",
     "fault_levels",
-    "faults_requests",
-    "faults_text",
     "render",
-    "run_faults",
 ]
 
 #: drop-rate sweep points (per-transmission probability).
@@ -108,7 +105,7 @@ def fault_levels(
     return levels
 
 
-def faults_requests(
+def build_requests(
     workload_keys: Optional[Sequence[str]] = None,
     strategies: Sequence[str] = STRATEGY_ORDER,
     num_nodes: int = 32,
@@ -157,28 +154,6 @@ def faults_requests(
     ]
 
 
-def run_faults(
-    workload_keys: Optional[Sequence[str]] = None,
-    strategies: Sequence[str] = STRATEGY_ORDER,
-    num_nodes: int = 32,
-    scale: Optional[str] = None,
-    seed: int = 1234,
-    jobs: Optional[Union[int, str]] = None,
-    cache: Union[ResultCache, bool, None] = None,
-    **level_kwargs,
-) -> list[RunMetrics]:
-    """Run the fault grid; returns metrics in request order."""
-    reqs = faults_requests(
-        workload_keys=workload_keys,
-        strategies=strategies,
-        num_nodes=num_nodes,
-        scale=scale,
-        seed=seed,
-        **level_kwargs,
-    )
-    return run_requests(reqs, jobs=jobs, cache=cache)
-
-
 def faults_rows(metrics: Sequence[RunMetrics]) -> list[dict]:
     """Flatten fault-grid metrics into table rows with per-strategy
     slowdowns relative to each (workload, strategy) fault-free baseline."""
@@ -207,27 +182,11 @@ def faults_rows(metrics: Sequence[RunMetrics]) -> list[dict]:
     return rows
 
 
-def faults_text(metrics: Sequence[RunMetrics]) -> str:
-    num_nodes = metrics[0].num_nodes if metrics else 32
+def render(results: Sequence[RunMetrics]) -> str:
+    """Render runner results (in request order) as the fault table."""
+    num_nodes = results[0].num_nodes if results else 32
     return format_table(
-        faults_rows(metrics),
+        faults_rows(results),
         title=(f"Degradation under injected faults on {num_nodes} processors "
                "(fig_faults)"),
     )
-
-
-# ----------------------------------------------------------------------
-# uniform experiment API
-# ----------------------------------------------------------------------
-def build_requests(**kwargs) -> list[RunRequest]:
-    """The fault grid (accepts :func:`faults_requests`'s keywords)."""
-    return faults_requests(**kwargs)
-
-
-def render(results: Sequence[RunMetrics]) -> str:
-    """Render runner results (in request order) as the fault table."""
-    return faults_text(results)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual driver
-    print(faults_text(run_faults()))

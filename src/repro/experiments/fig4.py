@@ -18,13 +18,16 @@ experiment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
+from repro.balancers import RunMetrics
 from repro.core.mwa import mwa_schedule
 from repro.machine.topology import MeshTopology, mesh_shape_for
+from repro.metrics import format_series
 from repro.optimal.schedule import optimal_redistribution
+from repro.runner import RunRequest
 
 __all__ = [
     "Fig4Point",
@@ -32,10 +35,7 @@ __all__ = [
     "PAPER_WEIGHTS",
     "build_requests",
     "fig4_point",
-    "fig4_requests",
-    "fig4_series",
     "render",
-    "run_fig4",
 ]
 
 PAPER_SIZES = (8, 16, 32, 64, 128, 256)
@@ -101,25 +101,13 @@ def fig4_point(
     )
 
 
-def fig4_series(
-    sizes=PAPER_SIZES, weights=PAPER_WEIGHTS, cases: int = 100, seed: int = 7
-) -> dict[int, list[Fig4Point]]:
-    """All of Figure 4: one series (list over weights) per mesh size."""
-    return {
-        n: [fig4_point(n, w, cases=cases, seed=seed) for w in weights]
-        for n in sizes
-    }
-
-
-def fig4_requests(
+def build_requests(
     sizes: Sequence[int] = PAPER_SIZES,
     weights: Sequence[int] = PAPER_WEIGHTS,
     cases: int = 100,
     seed: int = 7,
-) -> list["RunRequest"]:
+) -> list[RunRequest]:
     """The Figure-4 grid as runner requests (one per size x weight)."""
-    from repro.runner import RunRequest
-
     return [
         RunRequest(
             workload="fig4",
@@ -134,47 +122,10 @@ def fig4_requests(
     ]
 
 
-def run_fig4(
-    sizes: Sequence[int] = PAPER_SIZES,
-    weights: Sequence[int] = PAPER_WEIGHTS,
-    cases: int = 100,
-    seed: int = 7,
-    jobs: Optional[Union[int, str]] = None,
-    cache=None,
-) -> dict[int, list[Fig4Point]]:
-    """:func:`fig4_series` routed through the parallel runner."""
-    from repro.runner import run_requests
-
-    reqs = fig4_requests(sizes=sizes, weights=weights, cases=cases, seed=seed)
-    metrics = run_requests(reqs, jobs=jobs, cache=cache)
-    out: dict[int, list[Fig4Point]] = {}
-    for req, m in zip(reqs, metrics):
-        out.setdefault(req.num_nodes, []).append(
-            Fig4Point(
-                num_nodes=req.num_nodes,
-                weight=m.extra["weight"],
-                cases=m.extra["cases"],
-                normalized_cost=m.extra["normalized_cost"],
-                mean_cost_mwa=m.extra["mean_cost_mwa"],
-                mean_cost_opt=m.extra["mean_cost_opt"],
-            )
-        )
-    return out
-
-
-# ----------------------------------------------------------------------
-# uniform experiment API
-# ----------------------------------------------------------------------
-def build_requests(**kwargs) -> list["RunRequest"]:
-    """The Figure-4 grid (accepts :func:`fig4_requests`'s keywords)."""
-    return fig4_requests(**kwargs)
-
-
-def render(results) -> str:
-    """Render runner results as the Figure-4 normalized-cost series."""
-    from repro.metrics import format_series
-
-    by_n: dict[int, list] = {}
+def render(results: Sequence[RunMetrics]) -> str:
+    """Render runner results as the Figure-4 normalized-cost series, one
+    line per mesh size in request order."""
+    by_n: dict[int, list[RunMetrics]] = {}
     for m in results:
         by_n.setdefault(m.num_nodes, []).append(m)
     cases = results[0].extra["cases"] if results else 0
@@ -182,7 +133,7 @@ def render(results) -> str:
         "Figure 4: normalized communication cost of MWA, "
         f"{cases} cases per point"
     ]
-    for n, ms in sorted(by_n.items()):
+    for n, ms in by_n.items():
         lines.append(format_series(
             f"{n} procs",
             [m.extra["weight"] for m in ms],

@@ -16,11 +16,11 @@ from typing import Optional, Sequence
 
 from repro.balancers import RunMetrics
 from repro.metrics import format_table
-from .common import STRATEGY_ORDER, current_scale, workloads
-from .table1 import run_table1, table1_requests
-from .table2 import run_table2, table2_requests
+from repro.runner import RunRequest
+from . import table1, table2
+from .common import STRATEGY_ORDER, current_scale
 
-__all__ = ["build_requests", "fig5_text", "quality_factor", "render", "run_fig5"]
+__all__ = ["build_requests", "quality_factor", "quality_factors", "render"]
 
 
 def quality_factor(mu_opt: float, mu_rand: float, mu_g: float) -> float:
@@ -32,31 +32,40 @@ def quality_factor(mu_opt: float, mu_rand: float, mu_g: float) -> float:
     return (mu_opt - mu_rand) / denom
 
 
-def run_fig5(
+def build_requests(
     num_nodes: int = 32,
     scale: Optional[str] = None,
-    metrics: Optional[Sequence[RunMetrics]] = None,
-    opt: Optional[dict[str, float]] = None,
-    jobs=None,
-    cache=None,
-) -> dict[str, dict[str, float]]:
-    """Quality factor per workload key per strategy.
-
-    Reuses precomputed Table-I metrics / Table-II optima when given;
-    otherwise both grids run through the parallel runner.
-    """
+    seed: int = 1234,
+) -> list[RunRequest]:
+    """Figure 5 needs both the Table-I simulations and the Table-II
+    bounds, so its request list is their concatenation (the ``kind``
+    field tells them apart in the results)."""
     scale = current_scale(scale)
-    if metrics is None:
-        metrics = run_table1(num_nodes=num_nodes, scale=scale, jobs=jobs, cache=cache)
-    if opt is None:
-        opt = run_table2(num_nodes=num_nodes, scale=scale, jobs=jobs, cache=cache)
-    spec_by_label = {}
-    for spec in workloads(scale):
-        spec_by_label[spec.label] = spec.key
+    return (
+        table1.build_requests(num_nodes=num_nodes, scale=scale, seed=seed)
+        + table2.build_requests(num_nodes=num_nodes, scale=scale, seed=seed)
+    )
+
+
+def quality_factors(
+    results: Sequence[RunMetrics],
+) -> dict[str, dict[str, float]]:
+    """Quality factor per workload key per strategy, from mixed
+    sim + optimal results.
+
+    A simulated row finds its workload key through the display label
+    that the optimal row of the same workload carries, so the mapping
+    holds at either scale.  Workloads without a random run or without a
+    bound are left out.
+    """
+    opt = {m.workload: m.efficiency for m in results if m.strategy == "optimal"}
+    key_of = {m.extra["workload_label"]: m.workload
+              for m in results if m.strategy == "optimal"}
     mu: dict[str, dict[str, float]] = {}
-    for m in metrics:
-        key = spec_by_label.get(m.extra.get("workload_label", ""), m.workload)
-        mu.setdefault(key, {})[m.strategy] = m.efficiency
+    for m in results:
+        if m.strategy != "optimal":
+            key = key_of.get(m.extra.get("workload_label", ""), m.workload)
+            mu.setdefault(key, {})[m.strategy] = m.efficiency
     out: dict[str, dict[str, float]] = {}
     for key, per_strat in mu.items():
         rand = per_strat.get("random")
@@ -69,41 +78,13 @@ def run_fig5(
     return out
 
 
-def fig5_text(factors: dict[str, dict[str, float]]) -> str:
+def render(results: Sequence[RunMetrics]) -> str:
+    """Render mixed sim + optimal runner results as the Figure-5 text."""
     rows = []
-    for key, per_strat in factors.items():
+    for key, per_strat in quality_factors(results).items():
         row = {"workload": key}
         for strat in STRATEGY_ORDER:
             v = per_strat.get(strat)
             row[strat] = f"{v:.2f}" if v is not None else "-"
         rows.append(row)
     return format_table(rows, title="Figure 5: Normalized Quality Factors")
-
-
-# ----------------------------------------------------------------------
-# uniform experiment API: Figure 5 needs both the Table-I simulations
-# and the Table-II bounds, so its request list is their concatenation
-# (the ``kind`` field tells them apart in the results).
-# ----------------------------------------------------------------------
-def build_requests(
-    num_nodes: int = 32,
-    scale: Optional[str] = None,
-    seed: int = 1234,
-) -> list:
-    scale = current_scale(scale)
-    return (
-        table1_requests(num_nodes=num_nodes, scale=scale, seed=seed)
-        + table2_requests(num_nodes=num_nodes, scale=scale, seed=seed)
-    )
-
-
-def render(results: Sequence[RunMetrics]) -> str:
-    """Render mixed sim+optimal runner results as the Figure-5 text."""
-    sim = [m for m in results if m.strategy != "optimal"]
-    opt = {m.workload: m.efficiency for m in results if m.strategy == "optimal"}
-    num_nodes = sim[0].num_nodes if sim else 32
-    return fig5_text(run_fig5(num_nodes=num_nodes, metrics=sim, opt=opt))
-
-
-if __name__ == "__main__":  # pragma: no cover - manual driver
-    print(fig5_text(run_fig5()))

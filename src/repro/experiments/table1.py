@@ -8,24 +8,17 @@ time Ti, execution time T, and efficiency mu.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from repro.balancers import RunMetrics
 from repro.metrics import format_table, percent, seconds
-from repro.runner import ResultCache, RunRequest, run_requests
+from repro.runner import RunRequest
 from .common import STRATEGY_ORDER, current_scale, workloads
 
-__all__ = [
-    "build_requests",
-    "render",
-    "run_table1",
-    "table1_requests",
-    "table1_rows",
-    "table1_text",
-]
+__all__ = ["build_requests", "render", "table1_rows"]
 
 
-def table1_requests(
+def build_requests(
     num_nodes: int = 32,
     scale: Optional[str] = None,
     strategies: Sequence[str] = STRATEGY_ORDER,
@@ -49,31 +42,6 @@ def table1_requests(
     ]
 
 
-def run_table1(
-    num_nodes: int = 32,
-    scale: Optional[str] = None,
-    strategies: Sequence[str] = STRATEGY_ORDER,
-    workload_keys: Optional[Sequence[str]] = None,
-    seed: int = 1234,
-    jobs: Optional[Union[int, str]] = None,
-    cache: Union[ResultCache, bool, None] = None,
-) -> list[RunMetrics]:
-    """Run the full (or restricted) Table-I grid; returns all metrics.
-
-    ``jobs`` fans the independent cells out across local cores (default:
-    ``$REPRO_JOBS`` or serial); result order is identical either way.
-    ``cache=True`` reuses results from previous invocations.
-    """
-    reqs = table1_requests(
-        num_nodes=num_nodes,
-        scale=scale,
-        strategies=strategies,
-        workload_keys=workload_keys,
-        seed=seed,
-    )
-    return run_requests(reqs, jobs=jobs, cache=cache)
-
-
 def table1_rows(metrics: Sequence[RunMetrics]) -> list[dict]:
     """Flatten metrics into the paper's Table-I row layout."""
     return [
@@ -91,28 +59,10 @@ def table1_rows(metrics: Sequence[RunMetrics]) -> list[dict]:
     ]
 
 
-def table1_text(metrics: Sequence[RunMetrics], num_nodes: int = 32) -> str:
-    return format_table(
-        table1_rows(metrics),
-        title=f"Table I: Comparison of Scheduling Algorithms on {num_nodes} Processors",
-    )
-
-
-# ----------------------------------------------------------------------
-# uniform experiment API (every module in repro.experiments exposes
-# build_requests(...) -> list[RunRequest] and render(results) -> str)
-# ----------------------------------------------------------------------
-def build_requests(**kwargs) -> list[RunRequest]:
-    """The Table-I grid (accepts :func:`table1_requests`'s keywords)."""
-    return table1_requests(**kwargs)
-
-
 def render(results: Sequence[RunMetrics]) -> str:
     """Render runner results (in request order) as the Table-I text."""
     num_nodes = results[0].num_nodes if results else 32
-    return table1_text(results, num_nodes)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual driver
-    ms = run_table1()
-    print(table1_text(ms))
+    return format_table(
+        table1_rows(results),
+        title=f"Table I: Comparison of Scheduling Algorithms on {num_nodes} Processors",
+    )

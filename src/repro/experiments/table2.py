@@ -11,23 +11,17 @@ and the result cache with the simulation grids.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from repro.balancers import RunMetrics
 from repro.metrics import format_table, percent
-from repro.runner import ResultCache, RunRequest, run_requests
+from repro.runner import RunRequest
 from .common import current_scale, workloads
 
-__all__ = [
-    "build_requests",
-    "render",
-    "run_table2",
-    "table2_requests",
-    "table2_text",
-]
+__all__ = ["build_requests", "render"]
 
 
-def table2_requests(
+def build_requests(
     num_nodes: int = 32,
     scale: Optional[str] = None,
     seed: int = 1234,
@@ -47,42 +41,15 @@ def table2_requests(
     ]
 
 
-def run_table2(
-    num_nodes: int = 32,
-    scale: Optional[str] = None,
-    jobs: Optional[Union[int, str]] = None,
-    cache: Union[ResultCache, bool, None] = None,
-) -> dict[str, float]:
-    """Optimal efficiency per workload key."""
-    reqs = table2_requests(num_nodes=num_nodes, scale=scale)
-    metrics = run_requests(reqs, jobs=jobs, cache=cache)
-    return {m.workload: m.efficiency for m in metrics}
-
-
-def table2_text(values: dict[str, float], num_nodes: int = 32) -> str:
+def render(results: Sequence[RunMetrics]) -> str:
+    """Render runner results as the Table-II text: the optimal
+    efficiency per workload key."""
+    num_nodes = results[0].num_nodes if results else 32
     rows = [
-        {"workload": key, "optimal efficiency": percent(v)}
-        for key, v in values.items()
+        {"workload": m.workload, "optimal efficiency": percent(m.efficiency)}
+        for m in results
     ]
     return format_table(
         rows,
         title=f"Table II: Optimal Efficiencies for Test Problems ({num_nodes} processors)",
     )
-
-
-# ----------------------------------------------------------------------
-# uniform experiment API
-# ----------------------------------------------------------------------
-def build_requests(**kwargs) -> list[RunRequest]:
-    """The Table-II bound grid (accepts :func:`table2_requests`'s keywords)."""
-    return table2_requests(**kwargs)
-
-
-def render(results: Sequence[RunMetrics]) -> str:
-    """Render runner results as the Table-II text."""
-    num_nodes = results[0].num_nodes if results else 32
-    return table2_text({m.workload: m.efficiency for m in results}, num_nodes)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual driver
-    print(table2_text(run_table2()))

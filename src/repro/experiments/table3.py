@@ -9,21 +9,14 @@ IDA* on the larger machines, as the paper describes
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from repro.balancers import RunMetrics
 from repro.metrics import format_table
-from repro.runner import ResultCache, RunRequest, run_requests
+from repro.runner import RunRequest
 from .common import STRATEGY_ORDER, current_scale, workloads
 
-__all__ = [
-    "TABLE3_WORKLOADS",
-    "build_requests",
-    "render",
-    "run_table3",
-    "table3_requests",
-    "table3_text",
-]
+__all__ = ["TABLE3_WORKLOADS", "build_requests", "render"]
 
 #: workload keys of Table III at paper scale (the last of each group)
 TABLE3_WORKLOADS = {
@@ -32,7 +25,7 @@ TABLE3_WORKLOADS = {
 }
 
 
-def table3_requests(
+def build_requests(
     num_nodes_list: Sequence[int] = (64, 128),
     scale: Optional[str] = None,
     strategies: Sequence[str] = STRATEGY_ORDER,
@@ -56,25 +49,12 @@ def table3_requests(
     ]
 
 
-def run_table3(
-    num_nodes_list: Sequence[int] = (64, 128),
-    scale: Optional[str] = None,
-    strategies: Sequence[str] = STRATEGY_ORDER,
-    seed: int = 1234,
-    jobs: Optional[Union[int, str]] = None,
-    cache: Union[ResultCache, bool, None] = None,
-) -> list[RunMetrics]:
-    reqs = table3_requests(
-        num_nodes_list=num_nodes_list, scale=scale, strategies=strategies, seed=seed
-    )
-    return run_requests(reqs, jobs=jobs, cache=cache)
-
-
-def table3_text(metrics: Sequence[RunMetrics]) -> str:
-    # pivot: rows = (workload, strategy), columns = machine sizes
-    sizes = sorted({m.num_nodes for m in metrics})
+def render(results: Sequence[RunMetrics]) -> str:
+    """Render runner results as the Table-III text: rows are (workload,
+    strategy), columns the machine sizes."""
+    sizes = sorted({m.num_nodes for m in results})
     cell: dict[tuple[str, str], dict[int, float]] = {}
-    for m in metrics:
+    for m in results:
         label = m.extra.get("workload_label", m.workload)
         cell.setdefault((label, m.strategy), {})[m.num_nodes] = m.speedup
     rows = []
@@ -87,26 +67,3 @@ def table3_text(metrics: Sequence[RunMetrics]) -> str:
     return format_table(
         rows, title="Table III: Speedup Comparison on 64 and 128 Processors"
     )
-
-
-# ----------------------------------------------------------------------
-# uniform experiment API
-# ----------------------------------------------------------------------
-def build_requests(**kwargs) -> list[RunRequest]:
-    """The Table-III grid (accepts :func:`table3_requests`'s keywords).
-
-    Also accepts the uniform ``num_nodes=N`` spelling as shorthand for
-    ``num_nodes_list=(N,)``.
-    """
-    if "num_nodes" in kwargs:
-        kwargs["num_nodes_list"] = (kwargs.pop("num_nodes"),)
-    return table3_requests(**kwargs)
-
-
-def render(results: Sequence[RunMetrics]) -> str:
-    """Render runner results as the Table-III text."""
-    return table3_text(results)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual driver
-    print(table3_text(run_table3()))

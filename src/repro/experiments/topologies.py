@@ -17,9 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from repro.balancers import RunMetrics
-from repro.core import RIPS
-from repro.session import Session
-from repro.runner import ResultCache, RunRequest, run_requests
 from repro.core.schedulers import (
     DimensionExchangePlanner,
     MeshWalkPlanner,
@@ -30,33 +27,29 @@ from repro.core.schedulers import (
 from repro.machine import (
     FullyConnectedTopology,
     HypercubeTopology,
-    Machine,
     MeshTopology,
     Topology,
     TreeTopology,
     mesh_shape_for,
 )
-from repro.tasks.trace import WorkloadTrace
+from repro.metrics import format_table, percent, seconds
+from repro.runner import RunRequest
+from .common import current_scale
 
-__all__ = [
-    "TopologyCase",
-    "build_requests",
-    "render",
-    "run_topology_comparison",
-    "run_topology_grid",
-    "topologies_text",
-    "topology_cases",
-    "topology_grid_requests",
-]
+__all__ = ["TopologyCase", "build_requests", "render", "topology_cases"]
 
 
 @dataclass(frozen=True)
 class TopologyCase:
-    """One interconnect + its paired system-phase planner."""
+    """One interconnect + its paired system-phase planner.
+
+    :meth:`repro.session.Session.from_request` builds a case's run from
+    a request's ``topology_case`` name.
+    """
 
     name: str
     make_topology: Callable[[int], Topology]
-    make_planner: Optional[Callable[[Topology], Planner]]  # None = default
+    make_planner: Callable[[Topology], Planner]
 
 
 def topology_cases() -> list[TopologyCase]:
@@ -90,48 +83,18 @@ def topology_cases() -> list[TopologyCase]:
     ]
 
 
-def run_topology_comparison(
-    trace: WorkloadTrace,
-    num_nodes: int = 32,
-    cases: Optional[Sequence[TopologyCase]] = None,
-    seed: int = 77,
-    tracer=None,
-) -> dict[str, RunMetrics]:
-    """Run ``trace`` under RIPS (ANY-Lazy) on each topology case.
-
-    ``num_nodes`` must be a power of two so the hypercube cases match
-    the other topologies' node count.  A ``tracer`` only makes sense for
-    a single-case run (spans from all cases would share one record
-    stream).
-    """
-    if num_nodes & (num_nodes - 1):
-        raise ValueError("num_nodes must be a power of two for this comparison")
-    out: dict[str, RunMetrics] = {}
-    for case in cases if cases is not None else topology_cases():
-        topo = case.make_topology(num_nodes)
-        if topo.num_nodes != num_nodes:
-            raise RuntimeError(f"case {case.name} built {topo.num_nodes} nodes")
-        planner = case.make_planner(topo) if case.make_planner else None
-        machine = Machine(topo, seed=seed)
-        metrics = Session.from_parts(
-            trace, RIPS("lazy", "any", planner=planner), machine,
-            tracer=tracer,
-        ).run()
-        metrics.extra["topology_case"] = case.name
-        out[case.name] = metrics
-    return out
-
-
-def topology_grid_requests(
+def build_requests(
     workload_key: str,
     num_nodes: int = 32,
     case_names: Optional[Sequence[str]] = None,
     seed: int = 77,
     scale: Optional[str] = None,
 ) -> list[RunRequest]:
-    """The cross-topology comparison as runner requests (one per case)."""
-    from .common import current_scale
+    """The cross-topology comparison as runner requests (one per case).
 
+    ``num_nodes`` must be a power of two so the hypercube cases match
+    the other topologies' node count.
+    """
     if num_nodes & (num_nodes - 1):
         raise ValueError("num_nodes must be a power of two for this comparison")
     scale = current_scale(scale)
@@ -153,36 +116,9 @@ def topology_grid_requests(
     ]
 
 
-def run_topology_grid(
-    workload_key: str,
-    num_nodes: int = 32,
-    case_names: Optional[Sequence[str]] = None,
-    seed: int = 77,
-    scale: Optional[str] = None,
-    jobs: Optional[int] = None,
-    cache: "ResultCache | bool | None" = None,
-) -> dict[str, RunMetrics]:
-    """:func:`run_topology_comparison` routed through the parallel runner.
-
-    Cases fan out across cores like any other grid (workers rebuild the
-    trace from ``workload_key`` via the disk trace cache); results keep
-    the case-name keying of the serial API.
-    """
-    reqs = topology_grid_requests(
-        workload_key,
-        num_nodes=num_nodes,
-        case_names=case_names,
-        seed=seed,
-        scale=scale,
-    )
-    metrics = run_requests(reqs, jobs=jobs, cache=cache)
-    return {req.topology_case: m for req, m in zip(reqs, metrics)}
-
-
-def topologies_text(metrics: Sequence[RunMetrics]) -> str:
-    """Side-by-side Table-I columns per topology case."""
-    from repro.metrics import format_table, percent, seconds
-
+def render(results: Sequence[RunMetrics]) -> str:
+    """Render runner results as the topology comparison table: the
+    Table-I columns side by side per topology case."""
     rows = [
         {
             "case": m.extra.get("topology_case", "?"),
@@ -193,9 +129,9 @@ def topologies_text(metrics: Sequence[RunMetrics]) -> str:
             "mu": percent(m.efficiency),
             "phases": m.system_phases or "-",
         }
-        for m in metrics
+        for m in results
     ]
-    first = metrics[0] if metrics else None
+    first = results[0] if results else None
     title = (
         f"RIPS across topologies: {first.workload} on {first.num_nodes} nodes"
         if first is not None
@@ -203,16 +139,3 @@ def topologies_text(metrics: Sequence[RunMetrics]) -> str:
     )
     return format_table(rows, title=title)
 
-
-# ----------------------------------------------------------------------
-# uniform experiment API
-# ----------------------------------------------------------------------
-def build_requests(workload_key: str, **kwargs) -> list[RunRequest]:
-    """The cross-topology grid (accepts
-    :func:`topology_grid_requests`'s keywords)."""
-    return topology_grid_requests(workload_key, **kwargs)
-
-
-def render(results: Sequence[RunMetrics]) -> str:
-    """Render runner results as the topology comparison table."""
-    return topologies_text(results)

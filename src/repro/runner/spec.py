@@ -115,8 +115,9 @@ class RunRequest:
     ``topology_case`` is ``None`` for the Table-I/III strategy grid; set
     it to a case name from
     :func:`repro.experiments.topologies.topology_cases` to run the
-    cross-topology RIPS comparison instead (``strategy`` is then fixed to
-    RIPS by that experiment).
+    cross-topology RIPS comparison instead (``strategy`` must then be
+    ``"RIPS"``; :meth:`repro.session.Session.from_request` pairs the
+    case's topology with its planner).
 
     ``kind`` selects what computation the cell stands for:
 
@@ -307,7 +308,7 @@ def execute_request(req: RunRequest) -> "RunMetrics":
     cycle, and so pool workers pay the import cost once per process.
     """
     faulty = req.faults is not None and not req.faults.is_null()
-    if faulty and (req.kind != "sim" or req.topology_case is not None):
+    if faulty and req.kind != "sim":
         raise ValueError(
             f"fault plans apply only to kind='sim' strategy cells, "
             f"not {req.label()}"
@@ -329,41 +330,10 @@ def _attach_trace_extras(metrics: "RunMetrics", tracer) -> "RunMetrics":
 
 def _execute_sim(req: RunRequest) -> "RunMetrics":
     """A scheduled run (Table I/III, fig5, faults, topologies)."""
-    if req.topology_case is not None:
-        return _execute_topology_case(req)
     from repro.session import Session
 
     sess = Session.from_request(req)
     return _attach_trace_extras(sess.run(), sess.tracer)
-
-
-def _execute_topology_case(req: RunRequest) -> "RunMetrics":
-    """One cross-topology RIPS comparison cell (non-default latency
-    scaling per case, so it builds through the topologies experiment
-    rather than a plain Session)."""
-    from repro.experiments.common import workload
-    from repro.experiments.topologies import (
-        run_topology_comparison,
-        topology_cases,
-    )
-
-    tracer = None
-    if req.trace:
-        from repro.obs import Tracer
-
-        tracer = Tracer()
-    spec = workload(req.workload, req.scale)
-    cases = [c for c in topology_cases() if c.name == req.topology_case]
-    if not cases:
-        raise KeyError(f"unknown topology case {req.topology_case!r}")
-    trace = spec.build(req.num_nodes)
-    out = run_topology_comparison(
-        trace, num_nodes=req.num_nodes, cases=cases, seed=req.seed,
-        tracer=tracer,
-    )
-    metrics = out[req.topology_case]
-    metrics.extra["workload_label"] = spec.label
-    return _attach_trace_extras(metrics, tracer)
 
 
 def _execute_optimal(req: RunRequest) -> "RunMetrics":
@@ -483,11 +453,11 @@ def execute_request_resumable(
     seconds have elapsed, the cell checkpoints to ``checkpoint_path``
     and raises :class:`CellPreempted`.  A later call for the same
     request *resumes* from the checkpoint instead of starting over —
-    bit-identical to an uninterrupted run.  Non-``sim`` kinds (and
-    topology cases) have no checkpointable machine and fall back to
-    :func:`execute_request` unbudgeted.
+    bit-identical to an uninterrupted run.  Non-``sim`` kinds have no
+    checkpointable machine and fall back to :func:`execute_request`
+    unbudgeted.
     """
-    if req.kind != "sim" or req.topology_case is not None:
+    if req.kind != "sim":
         return execute_request(req)
     from repro.session import Session
     from repro.snapshot import Snapshot, SnapshotError

@@ -1,12 +1,11 @@
 """The front-door API: one builder for a complete scheduled run.
 
-Four PRs of growth left four overlapping ways to start a simulation
-(``run_trace``, hand-wired ``Driver``s, ``RunRequest`` execution, the
-per-experiment helpers).  :class:`Session` replaces the ad-hoc wiring:
-it owns the Machine / Driver / Tracer / FaultInjector assembly, in one
-fixed order, and every entry point — the CLI ``run``/``trace``/
-``faults`` commands, :func:`repro.experiments.common.run_workload`, and
-the runner's ``kind="sim"`` cells — builds its run through it.
+:class:`Session` owns the Machine / Driver / Tracer / FaultInjector
+assembly, in one fixed order.  There are two ways in: the keyed
+constructor, for a run assembled by hand, and :meth:`Session.from_request`,
+which turns one ``kind="sim"`` :class:`~repro.runner.RunRequest` into a
+run (cross-topology cases included).  The CLI ``run`` command, the
+runner's cells and the service all build their runs through it.
 
 >>> from repro.session import Session
 >>> round(Session("queens-10", strategy="RIPS", num_nodes=8).run().efficiency, 3)
@@ -111,6 +110,8 @@ class Session:
         self.contention = contention
         self.tracer = self._coerce_tracer(trace)
         self.workload_label: Optional[str] = None
+        #: the cross-topology case a request named (set by from_request)
+        self.topology_case: Optional[str] = None
         self._trace: Optional[WorkloadTrace] = None
         self._machine: Optional[Machine] = None
         self._driver: Optional[Driver] = None
@@ -192,10 +193,9 @@ class Session:
     def _wire(self) -> "Session":
         """Attach tracer + faults, build strategy and driver (idempotent).
 
-        Order is load-bearing and matches the pre-Session wiring
-        (``run_workload``/``run_trace``) exactly: faults before the
-        driver so the driver sees the injector; tracer before the run so
-        every record is captured.
+        Order is load-bearing: faults before the driver so the driver
+        sees the injector; tracer before the run so every record is
+        captured.
         """
         if self._stage == "wired":
             return self
@@ -240,6 +240,8 @@ class Session:
         if self._machine.sim.pending() > 0:
             return None  # stopped by the slice limit, more work queued
         metrics = self._driver.finish()
+        if self.topology_case is not None:
+            metrics.extra["topology_case"] = self.topology_case
         if self.workload_label is not None:
             metrics.extra["workload_label"] = self.workload_label
         return metrics
@@ -272,6 +274,7 @@ class Session:
             stage=self._stage,
             workload_key=self.workload if isinstance(self.workload, str) else None,
             workload_label=self.workload_label,
+            topology_case=self.topology_case,
             scale=self.scale,
             num_nodes=self.num_nodes,
             seed=self.seed,
@@ -305,6 +308,7 @@ class Session:
         sess.contention = False
         sess.tracer = machine.tracer
         sess.workload_label = meta.get("workload_label")
+        sess.topology_case = meta.get("topology_case")
         sess._machine = machine
         sess._trace = machine.snapshot_root("trace")
         if sess._trace is None:
@@ -354,13 +358,19 @@ class Session:
         return sess
 
     # ------------------------------------------------------------------
-    # interop constructors
+    # the request path
     # ------------------------------------------------------------------
     @classmethod
     def from_request(cls, req) -> "Session":
-        """Build the session for one ``kind="sim"`` RunRequest cell
-        (``req.session_overrides`` become constructor overrides)."""
-        overrides = dict(getattr(req, "session_overrides", ()) or ())
+        """Build the session for one ``kind="sim"`` RunRequest cell.
+
+        ``req.session_overrides`` become constructor overrides.  A
+        ``req.topology_case`` selects that case's topology and runs RIPS
+        (ANY-Lazy) with the case's planner; the case name lands in
+        ``metrics.extra["topology_case"]``.  Topology cases run
+        fault-free.
+        """
+        overrides = dict(req.session_overrides)
         unknown = set(overrides) - set(OVERRIDABLE)
         if unknown:
             raise ValueError(
@@ -368,9 +378,30 @@ class Session:
                 f"supported: {OVERRIDABLE}"
             )
         faulty = req.faults is not None and not req.faults.is_null()
-        return cls(
+        strategy = req.strategy
+        if req.topology_case is not None:
+            if faulty:
+                raise ValueError(
+                    f"fault plans apply only to kind='sim' strategy cells, "
+                    f"not {req.label()}"
+                )
+            if strategy != "RIPS" or "topology" in overrides:
+                raise ValueError(
+                    f"a topology case fixes the strategy (RIPS) and the "
+                    f"topology, not {req.label()}"
+                )
+            from repro.core import RIPS
+            from repro.experiments.topologies import topology_cases
+
+            case = {c.name: c for c in topology_cases()}.get(req.topology_case)
+            if case is None:
+                raise KeyError(f"unknown topology case {req.topology_case!r}")
+            overrides["topology"] = case.make_topology(req.num_nodes)
+            strategy = RIPS("lazy", "any",
+                            planner=case.make_planner(overrides["topology"]))
+        sess = cls(
             req.workload,
-            strategy=req.strategy,
+            strategy=strategy,
             num_nodes=req.num_nodes,
             seed=req.seed,
             scale=req.scale,
@@ -379,41 +410,7 @@ class Session:
             trace=bool(req.trace),
             **overrides,
         )
-
-    @classmethod
-    def from_parts(
-        cls,
-        trace: WorkloadTrace,
-        strategy: Strategy,
-        machine: Machine,
-        config: ExecutionConfig = ExecutionConfig(),
-        tracer=None,
-    ) -> "Session":
-        """Adopt pre-built parts (the legacy ``run_trace`` signature).
-
-        The machine may already carry an attached tracer or fault
-        injector; the session wires exactly what ``run_trace`` did:
-        attach ``tracer`` if given, then build the driver.
-        """
-        sess = cls.__new__(cls)
-        sess.workload = trace
-        sess.topology = machine.topology
-        sess.strategy = strategy
-        sess.num_nodes = machine.num_nodes
-        sess.seed = 0
-        sess.scale = None
-        sess.config = config
-        sess.faults = machine.faults.plan if machine.faults is not None else None
-        sess.contention = False
-        sess.tracer = tracer if tracer is not None else machine.tracer
-        sess.workload_label = None
-        sess._trace = trace
-        sess._machine = machine
-        machine.register_snapshot_root("trace", trace)
-        if tracer is not None:
-            machine.attach_tracer(tracer)
-        sess._driver = Driver(machine, trace, strategy, config)
-        sess._stage = "wired"
+        sess.topology_case = req.topology_case
         return sess
 
     # ------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 from repro.balancers.base import Driver, ExecutionConfig, RunMetrics, Strategy
 from repro.session import Session
-from repro.machine import Machine, MeshTopology
+from repro.machine import MeshTopology
 from repro.tasks.trace import TraceTask, WorkloadTrace
 
 from ..conftest import make_tree_trace, make_wave_trace
@@ -22,19 +22,20 @@ def test_local_only_runs_everything_on_home_nodes():
         TraceTask(1, 100.0, home=3),
     ]
     trace = WorkloadTrace("homes", tasks, sec_per_unit=1e-3)
-    m = Machine(MeshTopology(2, 2), seed=0)
-    d = Driver(m, trace, LocalOnly())
-    metrics = d.run()
-    assert d.executed_at == [2, 3]
+    sess = Session(trace, topology=MeshTopology(2, 2), strategy=LocalOnly(),
+                   seed=0)
+    metrics = sess.run()
+    assert sess.driver.executed_at == [2, 3]
     assert metrics.nonlocal_tasks == 0
     # both tasks run in parallel on distinct nodes
     assert metrics.T == pytest.approx(0.1, rel=0.1)
 
 
 def test_every_task_executes_exactly_once(tree_trace):
-    m = Machine(MeshTopology(4, 4), seed=0)
-    d = Driver(m, tree_trace, LocalOnly())
-    d.run()
+    sess = Session(tree_trace, topology=MeshTopology(4, 4),
+                   strategy=LocalOnly(), seed=0)
+    sess.run()
+    d = sess.driver
     assert all(r >= 0 for r in d.executed_at)
     assert all(r >= 0 for r in d.created_at)
 
@@ -42,18 +43,20 @@ def test_every_task_executes_exactly_once(tree_trace):
 def test_children_materialize_where_parent_ran():
     tasks = [TraceTask(0, 10.0, 0, (1,), home=1), TraceTask(1, 10.0)]
     trace = WorkloadTrace("chain", tasks, sec_per_unit=1e-3)
-    m = Machine(MeshTopology(2, 2), seed=0)
-    d = Driver(m, trace, LocalOnly())
-    d.run()
+    sess = Session(trace, topology=MeshTopology(2, 2), strategy=LocalOnly(),
+                   seed=0)
+    sess.run()
+    d = sess.driver
     assert d.created_at[1] == 1
     assert d.executed_at[1] == 1
 
 
 def test_wave_barrier_orders_execution():
     """No wave-1 task may start before every wave-0 task finished."""
-    m = Machine(MeshTopology(2, 2), seed=0)
     trace = make_wave_trace(waves=2, per_wave=8)
-    d = Driver(m, trace, LocalOnly())
+    sess = Session(trace, topology=MeshTopology(2, 2), strategy=LocalOnly(),
+                   seed=0)
+    m = sess.machine
 
     finish_times = {}
     orig = Driver._task_finished
@@ -64,7 +67,7 @@ def test_wave_barrier_orders_execution():
 
     Driver._task_finished = spy
     try:
-        d.run()
+        sess.run()
     finally:
         Driver._task_finished = orig
     wave0_end = max(finish_times[t.id] for t in trace if t.wave == 0)
@@ -75,8 +78,7 @@ def test_wave_barrier_orders_execution():
 
 
 def test_metrics_identity_holds(tree_trace):
-    m = Machine(MeshTopology(4, 4), seed=0)
-    metrics = Session.from_parts(tree_trace, LocalOnly(), m).run()
+    metrics = Session(tree_trace, topology=MeshTopology(4, 4), strategy=LocalOnly(), seed=0).run()
     n = metrics.num_nodes
     # T >= task/node + Th + Ti decomposition per definition
     per_node_task = metrics.Ts / n
@@ -128,16 +130,17 @@ def test_stranded_workload_raises():
 
     tasks = [TraceTask(0, 1.0)]
     trace = WorkloadTrace("t", tasks, sec_per_unit=1.0)
-    m = Machine(MeshTopology(2, 2), seed=0)
+    sess = Session(trace, topology=MeshTopology(2, 2), strategy=Hoarder(),
+                   seed=0)
     with pytest.raises(RuntimeError, match="stranded"):
-        Driver(m, trace, Hoarder()).run()
+        sess.run()
 
 
 def test_spawn_overhead_charged():
     cfg = ExecutionConfig(spawn_overhead=1e-3)
     tasks = [TraceTask(0, 1.0, 0, (1, 2)), TraceTask(1, 1.0), TraceTask(2, 1.0)]
     trace = WorkloadTrace("t", tasks, sec_per_unit=1e-6)
-    m = Machine(MeshTopology(1, 1), seed=0)
-    metrics = Session.from_parts(trace, LocalOnly(), m, cfg).run()
+    metrics = Session(trace, topology=MeshTopology(1, 1), strategy=LocalOnly(), seed=0,
+                      config=cfg).run()
     # 2 children -> 2e-3 spawn + 3 task starts
     assert metrics.Th >= 2e-3

@@ -4,17 +4,16 @@ import pytest
 
 from repro.balancers import StaticPreschedule
 from repro.session import Session
-from repro.balancers.base import Driver, ExecutionConfig
 from repro.core import RIPS
-from repro.machine import Machine, MeshTopology
+from repro.machine import MeshTopology
 from repro.tasks.trace import TraceTask, WorkloadTrace
 
 from ..conftest import make_pinned_trace, make_tree_trace, make_wave_trace
 
 
 def test_static_completes_tree_workload(tree_trace):
-    m = Machine(MeshTopology(4, 4), seed=3)
-    metrics = Session.from_parts(tree_trace, StaticPreschedule(), m).run()
+    metrics = Session(tree_trace, topology=MeshTopology(4, 4), strategy=StaticPreschedule(),
+                      seed=3).run()
     assert metrics.num_tasks == len(tree_trace)
     assert metrics.system_phases == 1
 
@@ -23,18 +22,18 @@ def test_static_balances_uniform_roots_perfectly():
     # 32 equal root tasks, no spawning: static is as good as it gets
     tasks = [TraceTask(i, 1000.0, home=0) for i in range(32)]
     trace = WorkloadTrace("uniform", tasks, sec_per_unit=1e-5)
-    m = Machine(MeshTopology(4, 4), seed=3)
-    metrics = Session.from_parts(trace, StaticPreschedule(), m).run()
+    metrics = Session(trace, topology=MeshTopology(4, 4), strategy=StaticPreschedule(),
+                      seed=3).run()
     assert metrics.efficiency > 0.85
 
 
 def test_static_cannot_correct_spawning_imbalance(tree_trace):
     """The incremental ablation: RIPS corrects runtime imbalance that a
     one-shot preschedule cannot."""
-    m1 = Machine(MeshTopology(4, 4), seed=3)
-    static = Session.from_parts(tree_trace, StaticPreschedule(), m1).run()
-    m2 = Machine(MeshTopology(4, 4), seed=3)
-    rips = Session.from_parts(tree_trace, RIPS("lazy", "any"), m2).run()
+    static = Session(tree_trace, topology=MeshTopology(4, 4), strategy=StaticPreschedule(),
+                     seed=3).run()
+    rips = Session(tree_trace, topology=MeshTopology(4, 4), strategy=RIPS("lazy", "any"),
+                   seed=3).run()
     # the tree workload has one root whose children all spawn on one
     # node under static scheduling
     assert rips.T < static.T
@@ -42,15 +41,15 @@ def test_static_cannot_correct_spawning_imbalance(tree_trace):
 
 
 def test_static_respects_pinned(pinned_trace):
-    m = Machine(MeshTopology(2, 2), seed=3)
-    d = Driver(m, pinned_trace, StaticPreschedule(), ExecutionConfig())
-    d.run()
+    sess = Session(pinned_trace, topology=MeshTopology(2, 2),
+                   strategy=StaticPreschedule(), seed=3)
+    sess.run()
     for t in pinned_trace:
         if t.pinned is not None:
-            assert d.executed_at[t.id] == t.pinned
+            assert sess.driver.executed_at[t.id] == t.pinned
 
 
 def test_static_completes_waves(wave_trace):
-    m = Machine(MeshTopology(2, 2), seed=3)
-    metrics = Session.from_parts(wave_trace, StaticPreschedule(), m).run()
+    metrics = Session(wave_trace, topology=MeshTopology(2, 2), strategy=StaticPreschedule(),
+                      seed=3).run()
     assert metrics.num_tasks == len(wave_trace)

@@ -8,7 +8,7 @@ from repro.balancers import (
     ReceiverInitiatedDiffusion,
     SenderInitiatedDiffusion,
 )
-from repro.machine import Machine, MeshTopology
+from repro.machine import MeshTopology
 from repro.session import Session
 from repro.tasks.trace import TraceTask, WorkloadTrace
 
@@ -25,8 +25,8 @@ ALL_STRATEGIES = [
 @pytest.mark.parametrize("factory", ALL_STRATEGIES)
 def test_strategies_complete_tree_workload(factory):
     trace = make_tree_trace()
-    m = Machine(MeshTopology(4, 4), seed=11)
-    metrics = Session.from_parts(trace, factory(), m).run()
+    metrics = Session(trace, topology=MeshTopology(4, 4), strategy=factory(),
+                      seed=11).run()
     assert metrics.num_tasks == len(trace)
     assert metrics.T > 0
     assert 0 < metrics.efficiency <= 1.0
@@ -35,19 +35,18 @@ def test_strategies_complete_tree_workload(factory):
 @pytest.mark.parametrize("factory", ALL_STRATEGIES)
 def test_strategies_complete_wave_workload(factory):
     trace = make_wave_trace()
-    m = Machine(MeshTopology(2, 2), seed=11)
-    metrics = Session.from_parts(trace, factory(), m).run()
+    metrics = Session(trace, topology=MeshTopology(2, 2), strategy=factory(),
+                      seed=11).run()
     assert metrics.num_tasks == len(trace)
 
 
 @pytest.mark.parametrize("factory", ALL_STRATEGIES)
 def test_pinned_tasks_respected(factory):
     trace = make_pinned_trace()
-    from repro.balancers.base import Driver
-
-    m = Machine(MeshTopology(2, 2), seed=11)
-    d = Driver(m, trace, factory())
-    d.run()
+    sess = Session(trace, topology=MeshTopology(2, 2), strategy=factory(),
+                   seed=11)
+    sess.run()
+    d = sess.driver
     for t in trace:
         if t.pinned is not None:
             assert d.executed_at[t.id] == t.pinned
@@ -55,18 +54,22 @@ def test_pinned_tasks_respected(factory):
 
 def test_random_scatters_almost_everything():
     trace = make_tree_trace()
-    m = Machine(MeshTopology(4, 4), seed=3)
-    metrics = Session.from_parts(trace, RandomAllocation(), m).run()
+    metrics = Session(trace, topology=MeshTopology(4, 4), strategy=RandomAllocation(),
+                      seed=3).run()
     # expected nonlocal fraction ~ (N-1)/N = 93.75%
     assert metrics.nonlocal_tasks > 0.8 * metrics.num_tasks
 
 
 def test_random_is_seed_deterministic():
     trace = make_tree_trace()
-    r1 = Session.from_parts(trace, RandomAllocation(), Machine(MeshTopology(4, 4), seed=3)).run()
-    r2 = Session.from_parts(trace, RandomAllocation(), Machine(MeshTopology(4, 4), seed=3)).run()
+
+    def run(seed):
+        return Session(trace, topology=MeshTopology(4, 4),
+                       strategy=RandomAllocation(), seed=seed).run()
+
+    r1, r2 = run(3), run(3)
     assert r1.T == r2.T and r1.nonlocal_tasks == r2.nonlocal_tasks
-    r3 = Session.from_parts(trace, RandomAllocation(), Machine(MeshTopology(4, 4), seed=4)).run()
+    r3 = run(4)
     assert r3.T != r1.T  # different stream, different outcome
 
 
@@ -75,8 +78,8 @@ def test_gradient_moves_load_from_hot_node():
     tasks = [TraceTask(0, 1.0, 0, tuple(range(1, 41)))]
     tasks += [TraceTask(i, 500.0, 0) for i in range(1, 41)]
     trace = WorkloadTrace("hot", tasks, sec_per_unit=1e-5)
-    m = Machine(MeshTopology(4, 4), seed=3)
-    metrics = Session.from_parts(trace, GradientModel(), m).run()
+    metrics = Session(trace, topology=MeshTopology(4, 4), strategy=GradientModel(),
+                      seed=3).run()
     assert metrics.nonlocal_tasks > 5
     assert metrics.extra["proximity_updates"] > 0
 
@@ -92,9 +95,8 @@ def test_rid_pulls_work_when_idle():
     tasks = [TraceTask(0, 1.0, 0, tuple(range(1, 41)))]
     tasks += [TraceTask(i, 500.0, 0) for i in range(1, 41)]
     trace = WorkloadTrace("hot", tasks, sec_per_unit=1e-5)
-    m = Machine(MeshTopology(4, 4), seed=3)
     strat = ReceiverInitiatedDiffusion()
-    metrics = Session.from_parts(trace, strat, m).run()
+    metrics = Session(trace, topology=MeshTopology(4, 4), strategy=strat, seed=3).run()
     assert metrics.extra["requests"] > 0
     assert metrics.extra["grants"] > 0
     assert metrics.nonlocal_tasks > 5
@@ -104,9 +106,8 @@ def test_rid_update_factor_controls_update_volume():
     trace = make_tree_trace(n_children=60)
 
     def updates(u):
-        m = Machine(MeshTopology(4, 4), seed=3)
         strat = ReceiverInitiatedDiffusion(update_factor=u)
-        Session.from_parts(trace, strat, m).run()
+        Session(trace, topology=MeshTopology(4, 4), strategy=strat, seed=3).run()
         return strat.load_updates
 
     # the paper: u=0.9 updates "too frequently"; 0.4 is far calmer
@@ -128,9 +129,8 @@ def test_sid_pushes_work_from_hot_node():
     tasks = [TraceTask(0, 1.0, 0, tuple(range(1, 41)))]
     tasks += [TraceTask(i, 500.0, 0) for i in range(1, 41)]
     trace = WorkloadTrace("hot", tasks, sec_per_unit=1e-5)
-    m = Machine(MeshTopology(4, 4), seed=3)
     strat = SenderInitiatedDiffusion()
-    metrics = Session.from_parts(trace, strat, m).run()
+    metrics = Session(trace, topology=MeshTopology(4, 4), strategy=strat, seed=3).run()
     assert metrics.extra["pushes"] > 0
     assert metrics.nonlocal_tasks > 5
 
@@ -152,8 +152,8 @@ def test_locality_ordering_on_preplaced_workload():
     trace = WorkloadTrace("block", tasks, sec_per_unit=1e-5)
     results = {}
     for factory in (RandomAllocation, ReceiverInitiatedDiffusion):
-        m = Machine(MeshTopology(4, 4), seed=5)
-        results[factory.__name__] = Session.from_parts(trace, factory(), m).run()
+        results[factory.__name__] = Session(trace, topology=MeshTopology(4, 4), strategy=factory(),
+                                            seed=5).run()
     assert (
         results["RandomAllocation"].nonlocal_tasks
         > 3 * results["ReceiverInitiatedDiffusion"].nonlocal_tasks

@@ -5,7 +5,7 @@ import pytest
 from repro.session import Session
 from repro.core import GlobalPolicy, LocalPolicy, RIPS
 from repro.core.schedulers import OptimalPlanner, TreeWalkPlanner
-from repro.machine import Machine, MeshTopology, TreeTopology
+from repro.machine import MeshTopology, TreeTopology
 from repro.tasks.trace import TraceTask, WorkloadTrace
 
 from ..conftest import make_pinned_trace, make_tree_trace, make_wave_trace
@@ -21,8 +21,8 @@ ALL_POLICIES = [
 @pytest.mark.parametrize("local,global_", ALL_POLICIES)
 def test_all_policy_combinations_complete(local, global_):
     trace = make_tree_trace()
-    m = Machine(MeshTopology(4, 4), seed=1)
-    metrics = Session.from_parts(trace, RIPS(local, global_), m).run()
+    metrics = Session(trace, topology=MeshTopology(4, 4), strategy=RIPS(local, global_),
+                      seed=1).run()
     assert metrics.num_tasks == len(trace)
     assert metrics.T > 0
     assert metrics.system_phases >= 1
@@ -30,8 +30,8 @@ def test_all_policy_combinations_complete(local, global_):
 
 
 def test_any_lazy_beats_serial_execution(tree_trace):
-    m = Machine(MeshTopology(4, 4), seed=1)
-    metrics = Session.from_parts(tree_trace, RIPS("lazy", "any"), m).run()
+    metrics = Session(tree_trace, topology=MeshTopology(4, 4), strategy=RIPS("lazy", "any"),
+                      seed=1).run()
     # parallel run must be far below sequential time
     assert metrics.T < 0.25 * metrics.Ts
 
@@ -42,46 +42,42 @@ def test_starts_with_a_system_phase():
     tasks = [TraceTask(0, 10.0, 0, tuple(range(1, 33)))]
     tasks += [TraceTask(i, 1000.0, 0) for i in range(1, 33)]
     trace = WorkloadTrace("fan", tasks, sec_per_unit=1e-5)
-    m = Machine(MeshTopology(4, 4), seed=1)
-    metrics = Session.from_parts(trace, RIPS("lazy", "any"), m).run()
+    metrics = Session(trace, topology=MeshTopology(4, 4), strategy=RIPS("lazy", "any"),
+                      seed=1).run()
     # 32 equal children over 16 nodes: near-perfect balance
     assert metrics.efficiency > 0.5
     assert metrics.nonlocal_tasks >= 16
 
 
 def test_eager_schedules_everything_lazy_does_not(tree_trace):
-    m1 = Machine(MeshTopology(4, 4), seed=1)
-    eager = Session.from_parts(tree_trace, RIPS("eager", "any"), m1).run()
-    m2 = Machine(MeshTopology(4, 4), seed=1)
-    lazy = Session.from_parts(tree_trace, RIPS("lazy", "any"), m2).run()
+    eager = Session(tree_trace, topology=MeshTopology(4, 4), strategy=RIPS("eager", "any"),
+                    seed=1).run()
+    lazy = Session(tree_trace, topology=MeshTopology(4, 4), strategy=RIPS("lazy", "any"),
+                   seed=1).run()
     # eager must schedule (and hence pool) every task; lazy executes some
     # directly.  More phases and/or more migrated tasks for eager.
     assert eager.extra["migrated_tasks"] >= lazy.extra["migrated_tasks"]
 
 
 def test_wave_barriers_respected(wave_trace):
-    m = Machine(MeshTopology(2, 2), seed=5)
-    metrics = Session.from_parts(wave_trace, RIPS("lazy", "any"), m).run()
+    metrics = Session(wave_trace, topology=MeshTopology(2, 2), strategy=RIPS("lazy", "any"),
+                      seed=5).run()
     assert metrics.num_tasks == len(wave_trace)
     assert metrics.efficiency > 0.3
 
 
 def test_pinned_tasks_never_migrate(pinned_trace):
-    m = Machine(MeshTopology(2, 2), seed=5)
-    driver_ranks = []
-    from repro.balancers.base import Driver, ExecutionConfig
-
-    d = Driver(m, pinned_trace, RIPS("lazy", "any"), ExecutionConfig())
-    d.run()
+    sess = Session(pinned_trace, topology=MeshTopology(2, 2),
+                   strategy=RIPS("lazy", "any"), seed=5)
+    sess.run()
     for t in pinned_trace:
         if t.pinned is not None:
-            assert d.executed_at[t.id] == t.pinned
+            assert sess.driver.executed_at[t.id] == t.pinned
 
 
 def test_rips_on_tree_topology():
     trace = make_tree_trace()
-    m = Machine(TreeTopology(15), seed=2)
-    metrics = Session.from_parts(trace, RIPS("lazy", "any"), m).run()
+    metrics = Session(trace, topology=TreeTopology(15), strategy=RIPS("lazy", "any"), seed=2).run()
     assert metrics.num_tasks == len(trace)
     assert metrics.efficiency > 0.3
 
@@ -89,41 +85,39 @@ def test_rips_on_tree_topology():
 def test_rips_with_explicit_planner():
     trace = make_tree_trace()
     topo = TreeTopology(7)
-    m = Machine(topo, seed=2)
-    metrics = Session.from_parts(
-        trace, RIPS("lazy", "any", planner=TreeWalkPlanner(topo)), m
-    ).run()
+    strat = RIPS("lazy", "any", planner=TreeWalkPlanner(topo))
+    metrics = Session(trace, topology=topo, strategy=strat, seed=2).run()
     assert metrics.num_tasks == len(trace)
 
 
 def test_rips_with_optimal_planner_ablation():
     trace = make_tree_trace()
     topo = MeshTopology(4, 4)
-    m = Machine(topo, seed=2)
-    metrics = Session.from_parts(trace, RIPS("lazy", "any", planner=OptimalPlanner(topo)), m).run()
+    strat = RIPS("lazy", "any", planner=OptimalPlanner(topo))
+    metrics = Session(trace, topology=topo, strategy=strat, seed=2).run()
     assert metrics.num_tasks == len(trace)
     assert metrics.system_phases >= 1
 
 
 def test_single_task_workload():
     trace = WorkloadTrace("one", [TraceTask(0, 100.0)], sec_per_unit=1e-4)
-    m = Machine(MeshTopology(2, 2), seed=0)
-    metrics = Session.from_parts(trace, RIPS("lazy", "any"), m).run()
+    metrics = Session(trace, topology=MeshTopology(2, 2), strategy=RIPS("lazy", "any"),
+                      seed=0).run()
     assert metrics.num_tasks == 1
     assert metrics.T >= 0.01
 
 
 def test_empty_trace_is_fine():
     trace = WorkloadTrace("empty", [], sec_per_unit=1.0)
-    m = Machine(MeshTopology(2, 2), seed=0)
-    metrics = Session.from_parts(trace, RIPS("lazy", "any"), m).run()
+    metrics = Session(trace, topology=MeshTopology(2, 2), strategy=RIPS("lazy", "any"),
+                      seed=0).run()
     assert metrics.num_tasks == 0 and metrics.T == 0.0
 
 
 def test_single_node_machine():
     trace = make_tree_trace(n_children=10)
-    m = Machine(MeshTopology(1, 1), seed=0)
-    metrics = Session.from_parts(trace, RIPS("lazy", "any"), m).run()
+    metrics = Session(trace, topology=MeshTopology(1, 1), strategy=RIPS("lazy", "any"),
+                      seed=0).run()
     assert metrics.nonlocal_tasks == 0
     assert metrics.efficiency > 0.9
 
@@ -139,8 +133,8 @@ def test_policy_enums_accept_strings():
 
 
 def test_metrics_extras_populated(tree_trace):
-    m = Machine(MeshTopology(4, 4), seed=1)
-    metrics = Session.from_parts(tree_trace, RIPS("lazy", "any"), m).run()
+    metrics = Session(tree_trace, topology=MeshTopology(4, 4), strategy=RIPS("lazy", "any"),
+                      seed=1).run()
     assert metrics.extra["local_policy"] == "lazy"
     assert metrics.extra["global_policy"] == "any"
     assert metrics.extra["migrated_tasks"] >= metrics.nonlocal_tasks >= 0

@@ -4,7 +4,7 @@ import pytest
 
 from repro.session import Session
 from repro.core import RIPS
-from repro.machine import Machine, MeshTopology
+from repro.machine import MeshTopology
 from repro.tasks.trace import TraceTask, WorkloadTrace
 
 from ..conftest import make_tree_trace
@@ -21,8 +21,8 @@ def test_backoff_suppresses_redundant_broadcasts():
     produce far fewer init messages than one broadcast per idle node per
     phase would."""
     trace = hot_node_trace()
-    m = Machine(MeshTopology(4, 4), seed=5)
-    metrics = Session.from_parts(trace, RIPS("lazy", "any"), m).run()
+    metrics = Session(trace, topology=MeshTopology(4, 4), strategy=RIPS("lazy", "any"),
+                      seed=5).run()
     phases = metrics.system_phases
     assert phases >= 1
     # upper bound if every one of 16 nodes broadcast every phase:
@@ -35,8 +35,8 @@ def test_backoff_preserves_completion_and_determinism():
     trace = make_tree_trace()
 
     def once():
-        m = Machine(MeshTopology(4, 4), seed=9)
-        return Session.from_parts(trace, RIPS("lazy", "any"), m).run()
+        return Session(trace, topology=MeshTopology(4, 4), strategy=RIPS("lazy", "any"),
+                       seed=9).run()
 
     a, b = once(), once()
     assert a.num_tasks == len(trace)
@@ -47,8 +47,8 @@ def test_stale_backoff_does_not_fire_extra_phases():
     """A node whose backoff expires after the phase already advanced
     must not initiate with a stale phase number (no phase inflation)."""
     trace = make_tree_trace(n_children=20)
-    m = Machine(MeshTopology(2, 2), seed=11)
-    metrics = Session.from_parts(trace, RIPS("lazy", "any"), m).run()
+    metrics = Session(trace, topology=MeshTopology(2, 2), strategy=RIPS("lazy", "any"),
+                      seed=11).run()
     # loose sanity bound: phases cannot exceed task count
     assert metrics.system_phases <= len(trace)
     assert metrics.num_tasks == len(trace)

@@ -7,20 +7,18 @@ from repro.experiments import (
     STRATEGY_ORDER,
     current_scale,
     fig4_point,
-    fig5_text,
+    fig5,
     quality_factor,
-    run_fig5,
-    run_table1,
-    run_table2,
-    run_table3,
-    run_workload,
+    quality_factors,
     strategy_factories,
-    table1_text,
-    table2_text,
-    table3_text,
+    table1,
+    table2,
+    table3,
     workload,
     workloads,
 )
+from repro.runner import run_requests
+from repro.session import Session
 
 
 def test_scale_selection(monkeypatch):
@@ -63,30 +61,32 @@ def test_fig4_shape_small_vs_large_mesh():
     assert large.normalized_cost > small.normalized_cost
 
 
-def test_run_workload_single_cell():
+def test_keyed_session_single_cell():
     spec = workload("gromos-8", "small")
-    m = run_workload(spec, "RIPS", num_nodes=16, seed=7)
+    m = Session(spec.key, strategy="RIPS", num_nodes=16, seed=7,
+                scale="small").run()
     assert m.num_tasks > 0
     assert m.extra["workload_label"] == spec.label
 
 
 def test_table1_restricted_grid_and_text():
-    ms = run_table1(
+    ms = run_requests(table1.build_requests(
         num_nodes=16, scale="small",
         strategies=("random", "RIPS"),
         workload_keys=("queens-10", "gromos-8"),
-    )
+    ))
     assert len(ms) == 4
-    text = table1_text(ms, 16)
+    text = table1.render(ms)
     assert "Table I" in text and "10-Queens" in text
+    assert "on 16 Processors" in text
 
 
 def test_table2_values_in_range():
-    vals = run_table2(num_nodes=16, scale="small")
-    assert len(vals) == 9
-    for v in vals.values():
-        assert 0 < v <= 1.0
-    text = table2_text(vals, 16)
+    ms = run_requests(table2.build_requests(num_nodes=16, scale="small"))
+    assert len(ms) == 9
+    for m in ms:
+        assert 0 < m.efficiency <= 1.0
+    text = table2.render(ms)
     assert "Table II" in text
 
 
@@ -98,25 +98,45 @@ def test_quality_factor_definition():
 
 
 def test_fig5_reuses_table1_metrics():
-    ms = run_table1(
+    ms = run_requests(table1.build_requests(
         num_nodes=16, scale="small",
         strategies=("random", "RIPS"),
         workload_keys=("queens-11",),
-    )
-    opt = {"queens-11": 0.99}
-    factors = run_fig5(num_nodes=16, scale="small", metrics=ms, opt=opt)
+    ))
+    opt = [m for m in run_requests(table2.build_requests(
+        num_nodes=16, scale="small")) if m.workload == "queens-11"]
+    factors = quality_factors(ms + opt)
     assert set(factors) == {"queens-11"}
     assert factors["queens-11"]["random"] == pytest.approx(1.0)
     assert "RIPS" in factors["queens-11"]
-    text = fig5_text(factors)
-    assert "Figure 5" in text
+    text = fig5.render(ms + opt)
+    assert "Figure 5" in text and "queens-11" in text
+
+
+def test_fig5_maps_labels_at_either_scale(monkeypatch):
+    # a simulated row finds its workload key through the optimal row's
+    # label, not through the scale in the environment
+    from repro.balancers import RunMetrics
+
+    def row(workload, strategy, mu, label):
+        m = RunMetrics(workload, strategy, 32, 1, 0, 1.0, 0.0, 0.0, mu, 1.0)
+        m.extra["workload_label"] = label
+        return m
+
+    monkeypatch.setenv("REPRO_SCALE", "small")
+    results = [row("13-queens", "random", 0.5, "13-Queens"),
+               row("13-queens", "RIPS-any-lazy", 0.8, "13-Queens"),
+               row("queens-13", "optimal", 0.9, "13-Queens")]
+    factors = quality_factors(results)
+    assert factors == {"queens-13": {"random": pytest.approx(1.0),
+                                     "RIPS": pytest.approx(4.0)}}
 
 
 def test_table3_speedups():
-    ms = run_table3(num_nodes_list=(16,), scale="small",
-                    strategies=("random", "RIPS"))
+    ms = run_requests(table3.build_requests(
+        num_nodes_list=(16,), scale="small", strategies=("random", "RIPS")))
     assert len(ms) == 6  # 3 workloads x 1 size x 2 strategies
     for m in ms:
         assert m.speedup > 1.0
-    text = table3_text(ms)
+    text = table3.render(ms)
     assert "Table III" in text and "speedup@16" in text

@@ -2,13 +2,9 @@
 
 import pytest
 
-from repro.experiments.topologies import (
-    TopologyCase,
-    run_topology_comparison,
-    topology_cases,
-)
-
-from ..conftest import make_tree_trace
+from repro.experiments import topologies
+from repro.experiments.topologies import topology_cases
+from repro.runner import run_requests
 
 
 def test_cases_cover_paper_topologies():
@@ -18,20 +14,22 @@ def test_cases_cover_paper_topologies():
     assert any("hypercube" in n for n in names)
 
 
-def test_comparison_runs_all_cases(tree_trace):
-    results = run_topology_comparison(tree_trace, num_nodes=8)
-    assert set(results) == {c.name for c in topology_cases()}
-    for name, m in results.items():
-        assert m.num_tasks == len(tree_trace), name
-        assert m.extra["topology_case"] == name
+def test_comparison_runs_all_cases():
+    reqs = topologies.build_requests("queens-10", num_nodes=8, scale="small")
+    results = run_requests(reqs)
+    assert [m.extra["topology_case"] for m in results] == \
+        [c.name for c in topology_cases()]
+    assert len({m.num_tasks for m in results}) == 1
 
 
-def test_comparison_rejects_non_power_of_two(tree_trace):
+def test_comparison_rejects_non_power_of_two():
     with pytest.raises(ValueError):
-        run_topology_comparison(tree_trace, num_nodes=12)
+        topologies.build_requests("queens-10", num_nodes=12)
 
 
-def test_comparison_with_case_subset(tree_trace):
-    cases = [c for c in topology_cases() if c.name == "mesh+MWA"]
-    results = run_topology_comparison(tree_trace, num_nodes=4, cases=cases)
-    assert list(results) == ["mesh+MWA"]
+def test_comparison_with_case_subset():
+    reqs = topologies.build_requests("queens-10", num_nodes=4,
+                                     case_names=["mesh+MWA"], scale="small")
+    (m,) = run_requests(reqs)
+    assert m.extra["topology_case"] == "mesh+MWA"
+    assert m.num_nodes == 4

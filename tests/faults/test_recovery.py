@@ -11,7 +11,7 @@ import pytest
 
 from repro.balancers import RandomAllocation
 from repro.session import Session
-from repro.experiments.common import STRATEGY_ORDER, make_machine, workload
+from repro.experiments.common import STRATEGY_ORDER, workload
 from repro.faults import FaultPlan, audit_conservation
 from repro.obs import Tracer
 from repro.runner import RunRequest, execute_request
@@ -63,10 +63,10 @@ def test_pinned_work_on_a_crashed_node_is_provably_lost():
         TraceTask(id=4, work=50.0),  # spawned by the doomed task 1
     ]
     trace = WorkloadTrace("pinned-synthetic", tasks, sec_per_unit=1e-4)
-    machine = make_machine(4, seed=7)
-    machine.attach_faults(FaultPlan.fail_stop(((2, 0.01),)))
     tracer = Tracer()
-    metrics = Session.from_parts(trace, RandomAllocation(), machine, tracer=tracer).run()
+    metrics = Session(trace, strategy=RandomAllocation(), num_nodes=4, seed=7,
+                      faults=FaultPlan.fail_stop(((2, 0.01),)),
+                      trace=tracer).run()
 
     assert metrics.extra["crashed_nodes"] == [2]
     assert metrics.extra["lost_task_ids"] == [1, 2, 4]

@@ -16,7 +16,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.experiments.common import make_machine, strategy_factories, workload
+from repro.experiments.common import strategy_factories, workload
 from repro.obs import Tracer
 from repro.obs.attribution import (
     attribution_rollup,
@@ -199,9 +199,8 @@ def test_real_traced_run_equals_reference(strategy, tmp_path):
     runs = []
     for tracer in tracers:
         strat = strategy_factories(spec.kind, 8)[strategy]()
-        runs.append(Session.from_parts(spec.build(8), strat,
-                                       make_machine(8, seed=7),
-                                       tracer=tracer).run())
+        runs.append(Session(spec.build(8), strategy=strat, num_nodes=8, seed=7,
+                            trace=tracer).run())
     new, old = tracers
     assert len(new) > 0
     assert runs[0] == runs[1]

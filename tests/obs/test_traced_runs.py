@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from repro.session import Session
-from repro.experiments.common import make_machine, strategy_factories, workload
+from repro.experiments.common import strategy_factories, workload
 from repro.obs import Tracer
 from repro.obs.attribution import node_breakdown, phase_totals, reconcile
 from repro.runner import ResultCache, RunRequest, run_requests_report
@@ -20,8 +20,8 @@ def _spans(tr: Tracer, cat: str) -> list[tuple]:
 def _run(strategy_name: str, tracer=None, num_nodes: int = 8, seed: int = 7):
     spec = workload("queens-10", scale="small")
     strat = strategy_factories(spec.kind, num_nodes)[strategy_name]()
-    machine = make_machine(num_nodes, seed=seed)
-    return Session.from_parts(spec.build(num_nodes), strat, machine, tracer=tracer).run()
+    return Session(spec.build(num_nodes), strategy=strat, num_nodes=num_nodes, seed=seed,
+                   trace=tracer).run()
 
 
 @pytest.mark.parametrize("strategy", ["RIPS", "random", "RID"])

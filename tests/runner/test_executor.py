@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.table1 import table1_requests
+from repro.experiments import table1
 from repro.runner import (
     ResultCache,
     RunRequest,
@@ -43,7 +43,7 @@ def test_resolve_jobs_precedence(monkeypatch):
 # ----------------------------------------------------------------------
 
 def test_parallel_grid_bit_identical_to_serial_full_table1():
-    reqs = table1_requests(num_nodes=32, scale="small")
+    reqs = table1.build_requests(num_nodes=32, scale="small")
     assert len(reqs) == 36  # nine workloads x four strategies
     serial = run_requests(reqs, jobs=1)
     parallel = run_requests(reqs, jobs=2)

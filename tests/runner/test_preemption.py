@@ -61,6 +61,27 @@ def test_traced_preemption_keeps_records_identical(tmp_path, slice_events):
     assert got == ref
 
 
+@pytest.mark.parametrize("case", [
+    "mesh+MWA", "tree+walk", "hypercube+DEM", "hypercube+optimal",
+    "crossbar+optimal",
+])
+def test_topology_case_preempts_and_resumes(tmp_path, case):
+    # a topology cell is a sim cell like any other: it slices, parks in
+    # a checkpoint, and resumes with its case label and its records
+    req = RunRequest("queens-10", "RIPS", num_nodes=8, seed=77,
+                     scale="small", topology_case=case, trace=True)
+    ref = execute_request(req)
+    ckpt = tmp_path / "cell.ckpt"
+    with pytest.raises(CellPreempted):
+        execute_request_resumable(
+            req, budget=0.0, checkpoint_path=ckpt, slice_events=500)
+    got = execute_request_resumable(req, checkpoint_path=ckpt,
+                                    slice_events=500)
+    assert got.extra["topology_case"] == case
+    assert got.extra["trace_records"] == ref.extra["trace_records"]
+    assert got == ref
+
+
 def test_corrupt_checkpoint_restarts_cleanly(tmp_path):
     ckpt = tmp_path / "cell.ckpt"
     ckpt.write_bytes(b"not a snapshot at all")

@@ -45,13 +45,13 @@ def test_content_hash_differs_per_field():
     assert len(hashes) == 1 + len(variants)
 
 
-def test_execute_request_matches_direct_run_workload():
-    from repro.experiments.common import run_workload, workload
+def test_execute_request_matches_keyed_session():
+    from repro.session import Session
 
     req = RunRequest("queens-10", "RIPS", num_nodes=16, seed=5, scale="small")
     via_runner = execute_request(req)
-    direct = run_workload(workload("queens-10", "small"), "RIPS",
-                          num_nodes=16, seed=5)
+    direct = Session("queens-10", strategy="RIPS", num_nodes=16, seed=5,
+                     scale="small").run()
     assert via_runner == direct
 
 

@@ -14,7 +14,7 @@ import time
 import pytest
 
 from repro.obs.export import trace_to_jsonl
-from repro.runner import RunRequest, execute_request
+from repro.runner import ResultCache, RunRequest, execute_request
 from repro.service import ServiceClient, ServiceClientError, ServiceConfig
 from repro.service.manager import metrics_to_wire
 from repro.service.server import BackgroundServer
@@ -279,6 +279,21 @@ def test_finished_cells_served_from_result_cache(server):
     assert again["from_cache"] is True
     assert json.dumps(again["metrics"], sort_keys=True) == \
         json.dumps(done["metrics"], sort_keys=True)
+
+
+def test_topology_cell_runs_its_case_and_caches_it(server, tmp_path):
+    # the service builds a cross-topology cell through the same request
+    # path as the runner, so the shared result cache holds the tree run,
+    # labelled, under the tree+walk key
+    req = _req(seed=1234, topology_case="tree+walk")
+    direct = json.dumps(metrics_to_wire(execute_request(req)), sort_keys=True)
+    done = _client(server).run(req)
+    assert done["state"] == "done"
+    assert done["metrics"]["extra"]["topology_case"] == "tree+walk"
+    assert json.dumps(done["metrics"], sort_keys=True) == direct
+    cached = ResultCache(store=LocalDirStore(tmp_path)).get(req)
+    assert cached is not None
+    assert json.dumps(metrics_to_wire(cached), sort_keys=True) == direct
 
 
 # ----------------------------------------------------------------------

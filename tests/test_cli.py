@@ -22,7 +22,7 @@ def test_run_single_cell(capsys):
     assert "10-Queens" in out and "RIPS" in out
 
 
-def test_fig4_series(capsys):
+def test_fig4_prints_one_line_per_size(capsys):
     assert main(["fig4", "--cases", "3", "--sizes", "8"]) == 0
     out = capsys.readouterr().out
     assert "8 procs" in out

@@ -16,9 +16,8 @@ from repro.balancers import (
     RandomAllocation,
     ReceiverInitiatedDiffusion,
 )
-from repro.balancers.base import Driver, ExecutionConfig
 from repro.core import RIPS
-from repro.machine import Machine, MeshTopology
+from repro.machine import MeshTopology
 from repro.session import Session
 
 
@@ -47,34 +46,33 @@ ALL = [
 
 @pytest.mark.parametrize("name,factory", ALL)
 def test_every_task_executes_exactly_once_queens(name, factory, queens10):
-    m = Machine(MeshTopology(4, 4), seed=17)
-    d = Driver(m, queens10, factory(), ExecutionConfig())
-    d.run()
-    assert all(r >= 0 for r in d.executed_at)
+    sess = Session(queens10, topology=MeshTopology(4, 4), strategy=factory(),
+                   seed=17)
+    sess.run()
+    assert all(r >= 0 for r in sess.driver.executed_at)
 
 
 @pytest.mark.parametrize("name,factory", ALL)
 def test_ida_completes_and_drivers_stay_home(name, factory, ida_small):
-    m = Machine(MeshTopology(4, 4), seed=17)
-    d = Driver(m, ida_small, factory(), ExecutionConfig())
-    metrics = d.run()
+    sess = Session(ida_small, topology=MeshTopology(4, 4), strategy=factory(),
+                   seed=17)
+    metrics = sess.run()
     assert metrics.num_tasks == len(ida_small)
     for t in ida_small:
         if t.pinned is not None:
-            assert d.executed_at[t.id] == 0
+            assert sess.driver.executed_at[t.id] == 0
 
 
 @pytest.mark.parametrize("name,factory", ALL)
 def test_gromos_completes(name, factory, gromos_small):
-    m = Machine(MeshTopology(4, 4), seed=17)
-    metrics = Session.from_parts(gromos_small, factory(), m).run()
+    metrics = Session(gromos_small, topology=MeshTopology(4, 4), strategy=factory(), seed=17).run()
     assert metrics.num_tasks == len(gromos_small)
 
 
 def test_same_seed_same_result(queens10):
     def once():
-        m = Machine(MeshTopology(4, 4), seed=23)
-        return Session.from_parts(queens10, RIPS("lazy", "any"), m).run()
+        return Session(queens10, topology=MeshTopology(4, 4), strategy=RIPS("lazy", "any"),
+                       seed=23).run()
 
     a, b = once(), once()
     assert a.T == b.T
@@ -84,18 +82,18 @@ def test_same_seed_same_result(queens10):
 
 
 def test_rips_locality_beats_random(queens10):
-    m1 = Machine(MeshTopology(4, 4), seed=5)
-    rips = Session.from_parts(queens10, RIPS("lazy", "any"), m1).run()
-    m2 = Machine(MeshTopology(4, 4), seed=5)
-    rand = Session.from_parts(queens10, RandomAllocation(), m2).run()
+    rips = Session(queens10, topology=MeshTopology(4, 4), strategy=RIPS("lazy", "any"),
+                   seed=5).run()
+    rand = Session(queens10, topology=MeshTopology(4, 4), strategy=RandomAllocation(),
+                   seed=5).run()
     assert rips.nonlocal_tasks < 0.7 * rand.nonlocal_tasks
 
 
 def test_rips_efficiency_competitive_on_gromos(gromos_small):
     results = {}
     for name, factory in ALL:
-        m = Machine(MeshTopology(4, 4), seed=5)
-        results[name] = Session.from_parts(gromos_small, factory(), m).run()
+        results[name] = Session(gromos_small, topology=MeshTopology(4, 4), strategy=factory(),
+                                seed=5).run()
     # headline claim: RIPS is at least as efficient as every baseline
     # on the MD workload, with far better locality than random
     assert results["RIPS"].efficiency >= results["gradient"].efficiency
@@ -114,8 +112,8 @@ def queens12():
 def test_scaling_up_processors_speeds_up(queens12):
     speeds = []
     for shape in [(2, 2), (4, 4), (8, 4)]:
-        m = Machine(MeshTopology(*shape), seed=5)
-        metrics = Session.from_parts(queens12, RIPS("lazy", "any"), m).run()
+        metrics = Session(queens12, topology=MeshTopology(*shape), strategy=RIPS("lazy", "any"),
+                          seed=5).run()
         speeds.append(metrics.speedup)
     assert speeds[0] < speeds[1] < speeds[2]
 
@@ -123,16 +121,16 @@ def test_scaling_up_processors_speeds_up(queens12):
 def test_efficiency_decreases_with_machine_size(queens12):
     effs = []
     for shape in [(2, 2), (8, 4)]:
-        m = Machine(MeshTopology(*shape), seed=5)
-        effs.append(Session.from_parts(queens12, RIPS("lazy", "any"), m).run().efficiency)
+        effs.append(Session(queens12, topology=MeshTopology(*shape), strategy=RIPS("lazy",
+                            "any"), seed=5).run().efficiency)
     assert effs[0] > effs[1]
 
 
 def test_contention_network_end_to_end(queens10):
-    m = Machine(MeshTopology(4, 4), seed=5, contention=True)
-    metrics = Session.from_parts(queens10, RIPS("lazy", "any"), m).run()
+    metrics = Session(queens10, topology=MeshTopology(4, 4), strategy=RIPS("lazy", "any"),
+                      seed=5, contention=True).run()
     assert metrics.num_tasks == len(queens10)
     # contention can only slow things down
-    m2 = Machine(MeshTopology(4, 4), seed=5)
-    ideal = Session.from_parts(queens10, RIPS("lazy", "any"), m2).run()
+    ideal = Session(queens10, topology=MeshTopology(4, 4), strategy=RIPS("lazy", "any"),
+                    seed=5).run()
     assert metrics.T >= 0.95 * ideal.T

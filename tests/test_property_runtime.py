@@ -22,9 +22,9 @@ from repro.balancers import (
     SenderInitiatedDiffusion,
     StaticPreschedule,
 )
-from repro.balancers.base import Driver, ExecutionConfig
 from repro.core import RIPS
-from repro.machine import Machine, MeshTopology
+from repro.machine import MeshTopology
+from repro.session import Session
 from repro.tasks.trace import TraceTask, WorkloadTrace
 
 STRATEGY_FACTORIES = [
@@ -99,10 +99,10 @@ def random_traces(draw):
     seed=st.integers(0, 1000),
 )
 def test_every_strategy_executes_every_task_exactly_once(trace, strat_idx, seed):
-    machine = Machine(MeshTopology(2, 2), seed=seed)
-    strategy = STRATEGY_FACTORIES[strat_idx]()
-    driver = Driver(machine, trace, strategy, ExecutionConfig())
-    metrics = driver.run()
+    sess = Session(trace, topology=MeshTopology(2, 2),
+                   strategy=STRATEGY_FACTORIES[strat_idx](), seed=seed)
+    metrics = sess.run()
+    machine, driver = sess.machine, sess.driver
     # completion: every task ran somewhere
     assert all(r >= 0 for r in driver.executed_at)
     # pinning respected
@@ -126,8 +126,8 @@ def test_every_strategy_executes_every_task_exactly_once(trace, strat_idx, seed)
 @given(trace=random_traces(), seed=st.integers(0, 100))
 def test_rips_determinism_property(trace, seed):
     def once():
-        m = Machine(MeshTopology(2, 2), seed=seed)
-        return Driver(m, trace, RIPS("lazy", "any"), ExecutionConfig()).run()
+        return Session(trace, topology=MeshTopology(2, 2),
+                       strategy=RIPS("lazy", "any"), seed=seed).run()
 
     a, b = once(), once()
     assert a.T == b.T

@@ -1,14 +1,13 @@
-"""The Session front door: staging, forking, and interop constructors.
+"""The Session front door: staging, forking, and the request path.
 
 Bit-identity of checkpoint/restore lives in ``tests/snapshot``; this
 file covers the API contract — lazy staged construction, fork
-semantics, and the request/parts adapters that make Session the single
-construction path.
+semantics, and ``from_request``, which with the keyed constructor makes
+Session the single construction path.
 """
 
 import pytest
 
-from repro.balancers import RandomAllocation
 from repro.obs import Tracer
 from repro.runner import RunRequest
 from repro.session import Session
@@ -37,19 +36,6 @@ def test_stages_advance_lazily():
 def test_repr_names_workload_strategy_and_stage():
     text = repr(_sess())
     assert "queens-10" in text and "RIPS" in text and "spec" in text
-
-
-def test_run_matches_from_parts():
-    ref = _sess(strategy="random").run()
-
-    from repro.experiments.common import make_machine, workload
-
-    trace = workload("queens-10", "small").build(8)
-    got = Session.from_parts(trace, RandomAllocation(), make_machine(8)).run()
-    # from_parts wires exactly what the keyed constructor does
-    got.extra.pop("workload_label", None)
-    ref.extra.pop("workload_label", None)
-    assert got == ref
 
 
 def test_run_trace_shim_is_gone():
@@ -128,6 +114,50 @@ def test_from_request_rejects_unknown_overrides():
         session_overrides=(("seed", 1),))
     with pytest.raises(ValueError, match="unsupported session_overrides"):
         Session.from_request(req)
+
+
+def test_from_request_resolves_topology_case():
+    from repro.core import RIPS
+    from repro.core.schedulers import TreeWalkPlanner
+    from repro.machine import TreeTopology
+
+    req = RunRequest("queens-10", "RIPS", num_nodes=8, seed=77, scale="small",
+                     topology_case="tree+walk")
+    sess = Session.from_request(req)
+    assert isinstance(sess.topology, TreeTopology)
+    assert sess.topology.num_nodes == sess.num_nodes == 8
+    assert sess.checkpoint().meta["topology_case"] == "tree+walk"
+    # the label survives a pause, a checkpoint and a restore
+    assert sess.run(max_events=300) is None
+    resumed = Session.restore(sess.checkpoint()).run()
+    assert resumed.extra["topology_case"] == "tree+walk"
+    # the same run assembled by hand with the keyed constructor
+    topo = TreeTopology(8, arity=2)
+    by_hand = Session("queens-10", topology=topo, seed=77, scale="small",
+                      strategy=RIPS("lazy", "any",
+                                    planner=TreeWalkPlanner(topo))).run()
+    assert "topology_case" not in by_hand.extra
+    by_hand.extra["topology_case"] = "tree+walk"
+    assert resumed == by_hand
+
+
+def test_topology_case_fixes_strategy_topology_and_faults():
+    from repro.faults import FaultPlan
+
+    base = dict(num_nodes=8, scale="small", topology_case="mesh+MWA")
+    for req in (
+        RunRequest("queens-10", "RID", **base),
+        RunRequest("queens-10", "RIPS", **base,
+                   session_overrides=(("topology", "hypercube"),)),
+    ):
+        with pytest.raises(ValueError, match="topology case fixes"):
+            Session.from_request(req)
+    with pytest.raises(ValueError, match="fault plans apply only"):
+        Session.from_request(RunRequest("queens-10", "RIPS", **base,
+                                        faults=FaultPlan.lossy(0.01)))
+    with pytest.raises(KeyError, match="unknown topology case"):
+        Session.from_request(RunRequest("queens-10", "RIPS", num_nodes=8,
+                                        topology_case="ring+nothing"))
 
 
 def test_session_accepts_prebuilt_trace():
