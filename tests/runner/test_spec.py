@@ -105,6 +105,16 @@ def test_faulty_request_pickles_roundtrip():
     assert pickle.loads(pickle.dumps(req)) == req
 
 
+def test_topology_case_honours_execution_config():
+    # a topology cell is built from the whole request, its cost knobs too
+    base = RunRequest("queens-10", "RIPS", num_nodes=8, seed=77,
+                      scale="small", topology_case="mesh+MWA")
+    slow = RunRequest("queens-10", "RIPS", num_nodes=8, seed=77,
+                      scale="small", topology_case="mesh+MWA",
+                      config=ExecutionConfig(spawn_overhead=1e-3))
+    assert execute_request(slow).T > execute_request(base).T
+
+
 def test_fault_plans_rejected_on_non_sim_cells():
     import pytest
 
