@@ -113,23 +113,6 @@ class GatherTree:
             node.on(kind, self._on_message)
 
     # ------------------------------------------------------------------
-    def rebuild(self, alive: Iterable[int], root: Optional[int] = None) -> None:
-        """Re-root the reduction over the surviving ranks.
-
-        Discards every partially-accumulated round: contributions from a
-        round started under the old tree shape would be combined against
-        the wrong ``_expected`` counts, so after a crash the protocol must
-        abandon in-flight rounds and start a fresh one.
-        """
-        if root is not None:
-            self.root = root
-        alive = list(alive)
-        self.parent, self.children = survivor_tree(
-            self.machine.topology, alive, self.root)
-        n = self.machine.num_nodes
-        self._acc = [dict() for _ in range(n)]
-        self._expected = [len(self.children[r]) + 1 for r in range(n)]
-
     def rebuild_groups(
         self,
         groups: Iterable[Iterable[int]],
@@ -142,8 +125,11 @@ class GatherTree:
         detected by ``parent[rank] == -1``, and runs system phases
         locally.  By default a group roots at its smallest rank;
         ``roots`` overrides per group (an *elected* root need not be the
-        minimum — None entries keep the default).  Like :meth:`rebuild`
-        this discards in-flight rounds.
+        minimum — None entries keep the default).  It discards every
+        partially-accumulated round: contributions from a round started
+        under the old tree shape would be combined against the wrong
+        ``_expected`` counts, so the protocol must abandon in-flight
+        rounds and start a fresh one.
         """
         n = self.machine.num_nodes
         parent = [-2] * n

@@ -55,7 +55,6 @@ __all__ = [
     "SnapshotVersionError",
     "capture",
     "restore",
-    "roundtrip_check",
 ]
 
 #: Format/semantics version of the serialized state.  Bump on any change
@@ -196,11 +195,9 @@ def capture(machine: "Machine", meta: Optional[dict] = None) -> Snapshot:
 
     Must be called between events — checkpointing from *inside* a
     scheduled callback would freeze a half-applied event and is refused.
-    The machine is left untouched and can keep running.
-
-    When a tracer is attached and ``meta`` contains ``{"note": True}``,
-    a ``snapshot`` instant record is emitted.  Default off: a resumed
-    run's trace must stay bit-identical to an uninterrupted one.
+    The machine is left untouched and can keep running, and its tracer
+    records nothing: a resumed run's trace must stay bit-identical to
+    an uninterrupted one.
     """
     if machine.sim._running:
         raise SnapshotError(
@@ -208,7 +205,6 @@ def capture(machine: "Machine", meta: Optional[dict] = None) -> Snapshot:
             "stop the run (max_events=) first"
         )
     meta = dict(meta or {})
-    note = meta.pop("note", False)
     meta.setdefault("sim_now", machine.sim.now)
     meta.setdefault("events_processed", machine.sim.events_processed)
     buf = io.BytesIO()
@@ -217,19 +213,12 @@ def capture(machine: "Machine", meta: Optional[dict] = None) -> Snapshot:
         buf,
         protocol=pickle.HIGHEST_PROTOCOL,
     )
-    snap = Snapshot(
+    return Snapshot(
         version=SNAPSHOT_VERSION,
         payload=buf.getvalue(),
         msg_watermark=msg_id_watermark(),
         meta=meta,
     )
-    if note and machine.tracer is not None:
-        machine.tracer.instant(
-            0, "snapshot", "checkpoint", machine.sim.now,
-            {"bytes": len(snap.payload),
-             "events_processed": machine.sim.events_processed},
-        )
-    return snap
 
 
 def restore(snapshot: Snapshot) -> "Machine":
@@ -258,31 +247,3 @@ def restore(snapshot: Snapshot) -> "Machine":
     fast_forward_msg_ids(snapshot.msg_watermark)
     return machine
 
-
-# ----------------------------------------------------------------------
-# round-trip check
-# ----------------------------------------------------------------------
-def roundtrip_check(workload_key: str = "queens-10", num_nodes: int = 8,
-                    pause_events: int = 1000) -> dict:
-    """The checkpoint/restore round-trip check.
-
-    For each strategy, runs ``workload_key`` straight through and again
-    with a mid-run checkpoint → pickle round trip → resume, and compares
-    the full metrics.  Returns ``{"ok": bool, "cells": [...]}``.
-    """
-    from repro.session import Session
-
-    cells = []
-    for strategy in ("random", "gradient", "RID", "RIPS"):
-        ref = Session(workload_key, strategy=strategy,
-                      num_nodes=num_nodes, scale="small").run()
-        sess = Session(workload_key, strategy=strategy,
-                       num_nodes=num_nodes, scale="small")
-        partial = sess.run(max_events=pause_events)
-        if partial is None:
-            resumed = Session.restore(sess.checkpoint())
-            got = resumed.run()
-        else:  # tiny workload finished inside the pause budget
-            got = partial
-        cells.append({"strategy": strategy, "ok": got == ref})
-    return {"ok": all(c["ok"] for c in cells), "cells": cells}
