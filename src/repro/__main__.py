@@ -218,6 +218,10 @@ def _audit_conservation(reqs, results) -> int:
     return 1 if violations else 0
 
 
+def _nodes_and_scale(args) -> dict:
+    return dict(num_nodes=args.nodes, scale=args.scale)
+
+
 def _faults_kwargs(args) -> dict:
     keys = None
     if args.workload:
@@ -559,13 +563,11 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("table1", help="strategy comparison (Table I)",
                        parents=[scale, _nodes_parent(32), grid])
-    p.set_defaults(fn=_cmd_grid, build=lambda a: dict(
-        num_nodes=a.nodes, scale=a.scale))
+    p.set_defaults(fn=_cmd_grid, build=_nodes_and_scale)
 
     p = sub.add_parser("table2", help="optimal efficiencies (Table II)",
                        parents=[scale, _nodes_parent(32), grid])
-    p.set_defaults(fn=_cmd_grid, build=lambda a: dict(
-        num_nodes=a.nodes, scale=a.scale))
+    p.set_defaults(fn=_cmd_grid, build=_nodes_and_scale)
 
     p = sub.add_parser("table3", help="speedups on larger machines (Table III)",
                        parents=[scale, grid])
@@ -684,8 +686,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("fig5", help="normalized quality factors (Figure 5)",
                        parents=[scale, _nodes_parent(32), grid])
-    p.set_defaults(fn=_cmd_grid, build=lambda a: dict(
-        num_nodes=a.nodes, scale=a.scale))
+    p.set_defaults(fn=_cmd_grid, build=_nodes_and_scale)
 
     p = sub.add_parser("faults",
                        help="strategy degradation under injected faults "
