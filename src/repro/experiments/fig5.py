@@ -18,7 +18,7 @@ from repro.balancers import RunMetrics
 from repro.metrics import format_table
 from repro.runner import RunRequest
 from . import table1, table2
-from .common import STRATEGY_ORDER, current_scale
+from .common import STRATEGY_ORDER
 
 __all__ = ["build_requests", "quality_factor", "quality_factors", "render"]
 
@@ -40,7 +40,6 @@ def build_requests(
     """Figure 5 needs both the Table-I simulations and the Table-II
     bounds, so its request list is their concatenation (the ``kind``
     field tells them apart in the results)."""
-    scale = current_scale(scale)
     return (
         table1.build_requests(num_nodes=num_nodes, scale=scale, seed=seed)
         + table2.build_requests(num_nodes=num_nodes, scale=scale, seed=seed)

@@ -138,4 +138,3 @@ def render(results: Sequence[RunMetrics]) -> str:
         else "RIPS across topologies"
     )
     return format_table(rows, title=title)
-

@@ -246,4 +246,3 @@ def restore(snapshot: Snapshot) -> "Machine":
     machine._snapshot_roots = roots
     fast_forward_msg_ids(snapshot.msg_watermark)
     return machine
-
