@@ -75,7 +75,7 @@ from repro.experiments import (
     workload,
     workloads,
 )
-from repro.experiments.fig4 import PAPER_SIZES, PAPER_WEIGHTS
+from repro.experiments.fig4 import PAPER_SIZES
 from repro.experiments.faults import (
     DEFAULT_CRASH_AT,
     DEFAULT_DROP_RATES,
@@ -681,8 +681,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--cases", type=int, default=25)
     p.add_argument("--sizes", type=int, nargs="*", default=None)
     p.set_defaults(fn=_cmd_grid, build=lambda a: dict(
-        sizes=a.sizes or PAPER_SIZES, weights=PAPER_WEIGHTS, cases=a.cases,
-        seed=a.seed))
+        sizes=a.sizes or PAPER_SIZES, cases=a.cases, seed=a.seed))
 
     p = sub.add_parser("fig5", help="normalized quality factors (Figure 5)",
                        parents=[scale, _nodes_parent(32), grid])
